@@ -16,9 +16,14 @@
 #ifndef DISTDA_COMPILER_DFG_HH
 #define DISTDA_COMPILER_DFG_HH
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <string>
 #include <vector>
+
+#include "src/sim/logging.hh"
 
 namespace distda::compiler
 {
@@ -78,6 +83,63 @@ bool producesFloat(OpCode op);
 
 /** Printable op name. */
 const char *opName(OpCode op);
+
+/**
+ * The value @p op computes from operands @p a, @p b and @p c (c is read
+ * by Select only). This is the one definition of op semantics: the
+ * accelerator actors and the OoO host executor both call it, so every
+ * substrate computes bit-identical values. Inline so each executor's
+ * dispatch loop can inline the switch.
+ */
+inline Word
+evalOp(OpCode op, Word a, Word b, Word c)
+{
+    Word r{};
+    switch (op) {
+      case OpCode::IAdd: r.i = a.i + b.i; break;
+      case OpCode::ISub: r.i = a.i - b.i; break;
+      case OpCode::IMul: r.i = a.i * b.i; break;
+      case OpCode::IDiv:
+        DISTDA_ASSERT(b.i != 0, "integer division by zero");
+        r.i = a.i / b.i;
+        break;
+      case OpCode::IRem:
+        DISTDA_ASSERT(b.i != 0, "integer remainder by zero");
+        r.i = a.i % b.i;
+        break;
+      case OpCode::IMin: r.i = std::min(a.i, b.i); break;
+      case OpCode::IMax: r.i = std::max(a.i, b.i); break;
+      case OpCode::IAbs: r.i = std::llabs(a.i); break;
+      case OpCode::IAnd: r.i = a.i & b.i; break;
+      case OpCode::IOr: r.i = a.i | b.i; break;
+      case OpCode::IXor: r.i = a.i ^ b.i; break;
+      case OpCode::IShl: r.i = a.i << b.i; break;
+      case OpCode::IShr: r.i = a.i >> b.i; break;
+      case OpCode::ICmpLt: r.i = a.i < b.i; break;
+      case OpCode::ICmpLe: r.i = a.i <= b.i; break;
+      case OpCode::ICmpEq: r.i = a.i == b.i; break;
+      case OpCode::ICmpNe: r.i = a.i != b.i; break;
+      case OpCode::FAdd: r.f = a.f + b.f; break;
+      case OpCode::FSub: r.f = a.f - b.f; break;
+      case OpCode::FMul: r.f = a.f * b.f; break;
+      case OpCode::FDiv: r.f = a.f / b.f; break;
+      case OpCode::FSqrt: r.f = std::sqrt(a.f); break;
+      case OpCode::FAbs: r.f = std::fabs(a.f); break;
+      case OpCode::FMin: r.f = std::min(a.f, b.f); break;
+      case OpCode::FMax: r.f = std::max(a.f, b.f); break;
+      case OpCode::FNeg: r.f = -a.f; break;
+      case OpCode::FCmpLt: r.i = a.f < b.f; break;
+      case OpCode::FCmpLe: r.i = a.f <= b.f; break;
+      case OpCode::FCmpEq: r.i = a.f == b.f; break;
+      case OpCode::Select: r = a.i ? b : c; break;
+      case OpCode::I2F: r.f = static_cast<double>(a.i); break;
+      case OpCode::F2I: r.i = static_cast<std::int64_t>(a.f); break;
+      case OpCode::Mov: r = a; break;
+      default:
+        panic("bad ALU opcode %d", static_cast<int>(op));
+    }
+    return r;
+}
 
 /**
  * Affine address pattern: element offset =

@@ -140,7 +140,6 @@ RunConfig::engineConfig() const
                      ? cgra::CgraParams::large()
                      : cgra::CgraParams{};
     cfg.retainBuffers = !disableRetention;
-    cfg.predecode = predecodeOverride;
     if (bufferBytesOverride)
         cfg.clusterBufferBytes = bufferBytesOverride;
     if (channelCapacityOverride)

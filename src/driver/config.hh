@@ -103,14 +103,6 @@ struct RunConfig
     bool analyzePlans = false;
 
     /**
-     * Actor predecode control: -1 follows the process-wide
-     * engine::setPredecodeEnabled toggle, 0 forces the microcode
-     * interpreter, 1 forces the predecoded stream. Differential
-     * jobs running both paths concurrently set this per run.
-     */
-    int predecodeOverride = -1;
-
-    /**
      * Reuse compiled plans through the process-wide PlanCache
      * (src/compiler/plan_cache.hh). On by default: compilation is
      * deterministic, so a cached plan is bit-identical to a fresh

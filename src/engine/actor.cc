@@ -1,8 +1,6 @@
 #include "src/engine/actor.hh"
 
 #include <algorithm>
-#include <atomic>
-#include <cmath>
 
 #include "src/sim/logging.hh"
 #include "src/sim/probe.hh"
@@ -13,26 +11,12 @@ namespace distda::engine
 
 using compiler::MicroInst;
 using compiler::MicroKind;
-using compiler::OpCode;
 using compiler::Word;
 
 namespace
 {
-std::atomic<bool> predecodeEnabledFlag{true};
 const Word zeroWord{};
 } // namespace
-
-void
-setPredecodeEnabled(bool enabled)
-{
-    predecodeEnabledFlag.store(enabled, std::memory_order_relaxed);
-}
-
-bool
-predecodeEnabled()
-{
-    return predecodeEnabledFlag.load(std::memory_order_relaxed);
-}
 
 PartitionActor::PartitionActor(
     const Config &config, std::vector<AccessorRuntime> accessors,
@@ -49,7 +33,7 @@ PartitionActor::PartitionActor(
     _regs.assign(static_cast<std::size_t>(std::max(prog.numRegs, 1)),
                  Word{});
 
-    // Reject corrupted microcode up front: execInst() and the preload
+    // Reject corrupted microcode up front: predecode() and the preload
     // loops below index registers, accessors, channels and carry slots
     // without bounds checks, so a bad program must never start.
     auto check_reg = [&](std::uint16_t reg, const char *what) {
@@ -114,21 +98,15 @@ PartitionActor::PartitionActor(
                     : 0;
 
     _isCgra = config.kind == ActorKind::Cgra;
-    // Same products the interpreter computes per instruction
-    // (scale * 1.0 and scale * 0.4), hoisted so the energy charge
-    // stays bit-identical between the two paths.
+    // Per-instruction energy weights (scale * 1.0 for a full pipeline
+    // pass, scale * 0.4 for a buffer-port op), hoisted out of the loop.
     _fullInstWeight = config.instEnergyScale;
     _portInstWeight = config.instEnergyScale * 0.4;
     _ivPtr = prog.ivReg != compiler::noReg ? &_regs[prog.ivReg]
                                            : nullptr;
-    const bool use_predecode = config.predecode < 0
-                                   ? predecodeEnabled()
-                                   : config.predecode != 0;
-    if (use_predecode) {
-        _exec.reserve(prog.insts.size());
-        for (const MicroInst &inst : prog.insts)
-            _exec.push_back(predecode(inst));
-    }
+    _exec.reserve(prog.insts.size());
+    for (const MicroInst &inst : prog.insts)
+        _exec.push_back(predecode(inst));
 }
 
 PartitionActor::ExecOp
@@ -152,8 +130,8 @@ PartitionActor::predecode(const MicroInst &inst)
         op.arrayElemBytes = ar.array.elemBytes;
         op.arrayCount = ar.array.count;
         // Unwired accessors (construction-only actors, e.g. in the
-        // verify tests) have no def; the interpreter would only touch
-        // it at execution time, so construction must tolerate that.
+        // verify tests) have no def; execution is the first use of it,
+        // so construction must tolerate that.
         if (ar.def != nullptr) {
             op.ivCoeff = ar.def->affine.ivCoeff;
             op.elemBytes = ar.def->elemBytes;
@@ -216,232 +194,6 @@ PartitionActor::predecode(const MicroInst &inst)
     return op;
 }
 
-Word
-PartitionActor::evalAlu(const MicroInst &inst) const
-{
-    const Word a = inst.a != compiler::noReg ? _regs[inst.a] : Word{};
-    const Word b = inst.b != compiler::noReg ? _regs[inst.b] : Word{};
-    const Word c = inst.c != compiler::noReg ? _regs[inst.c] : Word{};
-    return evalAluOp(inst.op, a, b, c);
-}
-
-Word
-PartitionActor::evalAluOp(OpCode op, Word a, Word b, Word c)
-{
-    Word r{};
-    switch (op) {
-      case OpCode::IAdd: r.i = a.i + b.i; break;
-      case OpCode::ISub: r.i = a.i - b.i; break;
-      case OpCode::IMul: r.i = a.i * b.i; break;
-      case OpCode::IDiv:
-        DISTDA_ASSERT(b.i != 0, "integer division by zero");
-        r.i = a.i / b.i;
-        break;
-      case OpCode::IRem:
-        DISTDA_ASSERT(b.i != 0, "integer remainder by zero");
-        r.i = a.i % b.i;
-        break;
-      case OpCode::IMin: r.i = std::min(a.i, b.i); break;
-      case OpCode::IMax: r.i = std::max(a.i, b.i); break;
-      case OpCode::IAbs: r.i = std::llabs(a.i); break;
-      case OpCode::IAnd: r.i = a.i & b.i; break;
-      case OpCode::IOr: r.i = a.i | b.i; break;
-      case OpCode::IXor: r.i = a.i ^ b.i; break;
-      case OpCode::IShl: r.i = a.i << b.i; break;
-      case OpCode::IShr: r.i = a.i >> b.i; break;
-      case OpCode::ICmpLt: r.i = a.i < b.i; break;
-      case OpCode::ICmpLe: r.i = a.i <= b.i; break;
-      case OpCode::ICmpEq: r.i = a.i == b.i; break;
-      case OpCode::ICmpNe: r.i = a.i != b.i; break;
-      case OpCode::FAdd: r.f = a.f + b.f; break;
-      case OpCode::FSub: r.f = a.f - b.f; break;
-      case OpCode::FMul: r.f = a.f * b.f; break;
-      case OpCode::FDiv: r.f = a.f / b.f; break;
-      case OpCode::FSqrt: r.f = std::sqrt(a.f); break;
-      case OpCode::FAbs: r.f = std::fabs(a.f); break;
-      case OpCode::FMin: r.f = std::min(a.f, b.f); break;
-      case OpCode::FMax: r.f = std::max(a.f, b.f); break;
-      case OpCode::FNeg: r.f = -a.f; break;
-      case OpCode::FCmpLt: r.i = a.f < b.f; break;
-      case OpCode::FCmpLe: r.i = a.f <= b.f; break;
-      case OpCode::FCmpEq: r.i = a.f == b.f; break;
-      case OpCode::Select: r = a.i ? b : c; break;
-      case OpCode::I2F: r.f = static_cast<double>(a.i); break;
-      case OpCode::F2I: r.i = static_cast<std::int64_t>(a.f); break;
-      case OpCode::Mov: r = a; break;
-      default:
-        panic("bad ALU opcode %d", static_cast<int>(op));
-    }
-    return r;
-}
-
-bool
-PartitionActor::execInst(const MicroInst &inst)
-{
-    switch (inst.kind) {
-      case MicroKind::Alu: {
-          _regs[inst.dst] = evalAlu(inst);
-          _now += _instCost;
-          break;
-      }
-      case MicroKind::LoadStream: {
-          AccessorRuntime &ar =
-              _accessors[static_cast<std::size_t>(inst.slot)];
-          const std::int64_t off =
-              ar.baseElemOffset + ar.def->affine.ivCoeff * _iter;
-          DISTDA_ASSERT(off >= 0 && static_cast<std::uint64_t>(off) <
-                                        ar.array.count,
-                        "stream load offset %lld out of bounds",
-                        static_cast<long long>(off));
-          _regs[inst.dst] = _backend->load(ar.array.addrOf(
-                                               static_cast<std::uint64_t>(
-                                                   off)),
-                                           ar.def->elemBytes,
-                                           ar.def->elemIsFloat);
-          {
-              const sim::Tick ready =
-                  ar.stream->readAt(_iter, _now, ar.tapDistance);
-              _stalls.streamWait += ready - _now;
-              _now = ready + _instCost;
-          }
-          _memOps += 1.0;
-          break;
-      }
-      case MicroKind::StoreStream: {
-          AccessorRuntime &ar =
-              _accessors[static_cast<std::size_t>(inst.slot)];
-          const bool pred =
-              inst.c == compiler::noReg || _regs[inst.c].i != 0;
-          if (pred) {
-              const std::int64_t off =
-                  ar.baseElemOffset + ar.def->affine.ivCoeff * _iter;
-              DISTDA_ASSERT(off >= 0 &&
-                                static_cast<std::uint64_t>(off) <
-                                    ar.array.count,
-                            "stream store offset %lld out of bounds",
-                            static_cast<long long>(off));
-              _backend->store(
-                  ar.array.addrOf(static_cast<std::uint64_t>(off)),
-                  _regs[inst.a], ar.def->elemBytes, ar.def->elemIsFloat);
-              _now = ar.stream->writeAt(_iter, _now, ar.tapDistance) +
-                     _instCost;
-          } else {
-              _now += _instCost;
-          }
-          _memOps += 1.0;
-          break;
-      }
-      case MicroKind::LoadIdx: {
-          AccessorRuntime &ar =
-              _accessors[static_cast<std::size_t>(inst.slot)];
-          const std::int64_t off = _regs[inst.a].i;
-          DISTDA_ASSERT(off >= 0 && static_cast<std::uint64_t>(off) <
-                                        ar.array.count,
-                        "indirect load offset %lld out of bounds (%s)",
-                        static_cast<long long>(off),
-                        _config.part ? "partition" : "?");
-          const mem::Addr addr =
-              ar.array.addrOf(static_cast<std::uint64_t>(off));
-          _regs[inst.dst] = _backend->load(addr, ar.def->elemBytes,
-                                           ar.def->elemIsFloat);
-          {
-              const sim::Tick done = _random->access(
-                  addr, ar.def->elemBytes, false, _now,
-                  _config.hideTicks);
-              _stalls.indirectWait += done - _now;
-              _now = done;
-          }
-          _memOps += 1.0;
-          break;
-      }
-      case MicroKind::StoreIdx: {
-          AccessorRuntime &ar =
-              _accessors[static_cast<std::size_t>(inst.slot)];
-          const bool pred =
-              inst.c == compiler::noReg || _regs[inst.c].i != 0;
-          if (pred) {
-              const std::int64_t off = _regs[inst.a].i;
-              DISTDA_ASSERT(off >= 0 &&
-                                static_cast<std::uint64_t>(off) <
-                                    ar.array.count,
-                            "indirect store offset %lld out of bounds",
-                            static_cast<long long>(off));
-              const mem::Addr addr =
-                  ar.array.addrOf(static_cast<std::uint64_t>(off));
-              _backend->store(addr, _regs[inst.b], ar.def->elemBytes,
-                              ar.def->elemIsFloat);
-              _now = _random->access(addr, ar.def->elemBytes, true, _now,
-                                     0);
-          } else {
-              _now += _instCost;
-          }
-          _memOps += 1.0;
-          break;
-      }
-      case MicroKind::Consume: {
-          Channel *ch = _ins[static_cast<std::size_t>(inst.slot)];
-          if (ch->empty()) {
-              if (ch->drained())
-                  panic("consume on drained channel (partition %d)",
-                        _config.part->id);
-              return false; // blocked; retried by the engine
-          }
-          const ChannelItem &item = ch->front();
-          _regs[inst.dst] = item.value;
-          if (item.readyAt > _now)
-              _stalls.channelWait += item.readyAt - _now;
-          _now = std::max(_now, item.readyAt) + _instCost;
-          ch->pop();
-          _stats->intraBytes += ch->elemBytes();
-          _stats->bufferAccesses += 1.0;
-          if (_acct)
-              _acct->addEvents(energy::Component::Buffer, 1.0);
-          break;
-      }
-      case MicroKind::Produce: {
-          Channel *ch = _outs[static_cast<std::size_t>(inst.slot)];
-          if (ch->full())
-              return false; // credit backpressure
-          sim::Tick arrive = _now;
-          if (ch->srcCluster() != ch->dstCluster()) {
-              auto xfer = _mesh->transfer(
-                  ch->srcCluster(), ch->dstCluster(), ch->elemBytes(),
-                  ch->isControl() ? noc::TrafficClass::AccCtrl
-                                  : noc::TrafficClass::AccData,
-                  _now);
-              arrive = _now + xfer.latency;
-          }
-          ch->push(_regs[inst.a], arrive);
-          _stats->aaBytes += ch->elemBytes();
-          _stats->bufferAccesses += 1.0;
-          if (_acct)
-              _acct->addEvents(energy::Component::Buffer, 1.0);
-          _now += _instCost;
-          break;
-      }
-      case MicroKind::CarryWrite: {
-          const auto &cs = _config.part->program
-                               .carries[static_cast<std::size_t>(
-                                   inst.slot)];
-          _regs[cs.reg] = _regs[inst.a];
-          _now += _instCost;
-          break;
-      }
-      default:
-        panic("bad microcode kind %d", static_cast<int>(inst.kind));
-    }
-    _insts += 1.0;
-    if (_acct) {
-        // cp_produce/cp_consume are implicit-dataflow buffer-port
-        // operations (SS IV-B), cheaper than a full pipeline pass.
-        const bool port_op = inst.kind == MicroKind::Produce ||
-                             inst.kind == MicroKind::Consume;
-        _acct->addEvents(_config.energyComp,
-                         _config.instEnergyScale * (port_op ? 0.4 : 1.0));
-    }
-    return true;
-}
-
 ActorStatus
 PartitionActor::runPredecoded(std::int64_t max_iters)
 {
@@ -450,11 +202,11 @@ PartitionActor::runPredecoded(std::int64_t max_iters)
     std::int64_t done = 0;
 
     // Slice-batched counters. Counts are integers, so one batched add
-    // equals the interpreter's per-instruction adds exactly; the same
-    // holds for Buffer energy (integer count x per-event cost). The
-    // compute-component charge stays per-instruction because its port
-    // ops carry an inexact 0.4 weight and batching would change the
-    // FP summation order (see DESIGN.md).
+    // equals per-instruction adds exactly; the same holds for Buffer
+    // energy (integer count x per-event cost). The compute-component
+    // charge stays per-instruction because its port ops carry an
+    // inexact 0.4 weight and batching would change the FP summation
+    // order (see DESIGN.md).
     double insts = 0.0, mem_ops = 0.0, buf_events = 0.0;
     const auto flush = [&] {
         _insts += insts;
@@ -487,7 +239,7 @@ PartitionActor::runPredecoded(std::int64_t max_iters)
             bool port_op = false;
             switch (op.kind) {
               case MicroKind::Alu: {
-                  *op.dst = evalAluOp(op.op, *op.a, *op.b, *op.c);
+                  *op.dst = compiler::evalOp(op.op, *op.a, *op.b, *op.c);
                   _now += _instCost;
                   break;
               }
@@ -659,10 +411,8 @@ PartitionActor::run(std::int64_t max_iters)
     if (_finished)
         return ActorStatus::Finished;
 
-    if (!_config.probe) {
-        return _exec.empty() ? runInterpreted(max_iters)
-                             : runPredecoded(max_iters);
-    }
+    if (!_config.probe)
+        return runPredecoded(max_iters);
 
     // Timeline slice batching: snapshot time/stall/inst counters, run
     // the slice at full speed, then attribute the elapsed interval —
@@ -671,8 +421,7 @@ PartitionActor::run(std::int64_t max_iters)
     const sim::Tick t0 = _now;
     const StallStats s0 = _stalls;
     const double i0 = _insts;
-    const ActorStatus st = _exec.empty() ? runInterpreted(max_iters)
-                                         : runPredecoded(max_iters);
+    const ActorStatus st = runPredecoded(max_iters);
     emitSlice(t0, s0, i0);
     return st;
 }
@@ -708,49 +457,6 @@ PartitionActor::emitSlice(sim::Tick t0, const StallStats &s0, double i0)
         _config.sliceInsts->sample(_insts - i0);
     if (_finished)
         probe.instant(_config.track, "finished", _finishTick);
-}
-
-ActorStatus
-PartitionActor::runInterpreted(std::int64_t max_iters)
-{
-    const auto &insts = _config.part->program.insts;
-    const std::uint16_t iv_reg = _config.part->program.ivReg;
-    std::int64_t done = 0;
-
-    while (_iter < _config.trip) {
-        if (_pc == 0) {
-            if (done >= max_iters)
-                return ActorStatus::Running;
-            if (_config.kind == ActorKind::Cgra) {
-                // Initiation-interval pacing: one new iteration every
-                // II fabric cycles once the pipeline is primed.
-                const sim::Tick init =
-                    _lastInit + static_cast<sim::Tick>(_config.ii) *
-                                    _config.cycleTick;
-                if (_iter > 0)
-                    _now = std::max(_now, init);
-                _lastInit = _now;
-            }
-            if (iv_reg != compiler::noReg)
-                _regs[iv_reg].i = _iter;
-        }
-        while (_pc < insts.size()) {
-            if (!execInst(insts[_pc]))
-                return ActorStatus::Blocked;
-            ++_pc;
-        }
-        _pc = 0;
-        ++_iter;
-        ++done;
-        if (_config.kind == ActorKind::Cgra && _iter == 1) {
-            // Pipeline fill of the spatial schedule.
-            _now += static_cast<sim::Tick>(_config.scheduleDepth) *
-                    _config.cycleTick;
-        }
-    }
-
-    finish();
-    return ActorStatus::Finished;
 }
 
 void

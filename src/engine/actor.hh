@@ -33,16 +33,6 @@ enum class ActorKind : std::uint8_t
 
 enum class ActorStatus : std::uint8_t { Running, Blocked, Finished };
 
-/**
- * Globally enable/disable predecoded microcode execution (default on).
- * Actors built while this is off interpret the raw MicroProgram the
- * slow way; the interpreter-equivalence test uses that to check both
- * paths produce identical stats on every workload. Thread-safe, read
- * once per actor construction.
- */
-void setPredecodeEnabled(bool enabled);
-bool predecodeEnabled();
-
 /** Runtime wiring of one accessor to its unit and bound array. */
 struct AccessorRuntime
 {
@@ -73,8 +63,6 @@ class PartitionActor
         sim::Tick hideTicks = 0;
         energy::Component energyComp = energy::Component::IOCore;
         sim::Tick startTick = 0;
-        /** -1: follow the global toggle; 0/1: force off/on. */
-        int predecode = -1;
         /**
          * Observability wiring (null when off). Span emission is
          * batched per run() slice — one compute/mem-blocked/
@@ -128,9 +116,9 @@ class PartitionActor
     /**
      * One predecoded instruction of the flat execution stream:
      * register and slot indices resolved to raw pointers, and every
-     * per-instruction indirection the interpreter would chase
-     * (accessor def fields, array bounds, channel cluster topology,
-     * predication form) hoisted into the struct at construction.
+     * per-instruction indirection of the raw MicroInst (accessor def
+     * fields, array bounds, channel cluster topology, predication
+     * form) hoisted into the struct at construction.
      */
     struct ExecOp
     {
@@ -154,17 +142,11 @@ class PartitionActor
         std::uint64_t arrayCount = 0;
     };
 
-    /** Execute one instruction; false means blocked (retry later). */
-    bool execInst(const compiler::MicroInst &inst);
-
     /** Resolve one MicroInst into its predecoded form. */
     ExecOp predecode(const compiler::MicroInst &inst);
 
     /** run() over the predecoded stream with slice-batched stats. */
     ActorStatus runPredecoded(std::int64_t max_iters);
-
-    /** run() interpreting the raw MicroProgram (predecode off). */
-    ActorStatus runInterpreted(std::int64_t max_iters);
 
     /**
      * Emit this slice's timeline spans: the [t0, _now) interval split
@@ -174,12 +156,6 @@ class PartitionActor
     void emitSlice(sim::Tick t0, const StallStats &s0, double i0);
 
     void finish();
-
-    compiler::Word evalAlu(const compiler::MicroInst &inst) const;
-
-    static compiler::Word evalAluOp(compiler::OpCode op,
-                                    compiler::Word a, compiler::Word b,
-                                    compiler::Word c);
 
     Config _config;
     std::vector<AccessorRuntime> _accessors;
@@ -192,7 +168,7 @@ class PartitionActor
     accel::AccessStats *_stats;
 
     std::vector<compiler::Word> _regs;
-    std::vector<ExecOp> _exec; ///< empty = interpret the raw program
+    std::vector<ExecOp> _exec; ///< the program, one ExecOp per MicroInst
     compiler::Word *_ivPtr = nullptr; ///< induction register, if any
     compiler::Word _scratch{};        ///< sink for noReg destinations
     double _fullInstWeight = 1.0;     ///< energy events per full inst

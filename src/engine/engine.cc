@@ -374,7 +374,6 @@ DataflowEngine::invoke(const std::vector<ArrayRef> &bindings,
             ac.hideTicks = depth * cycle;
         }
         ac.startTick = start_tick;
-        ac.predecode = _config.predecode;
         if (_config.probe) {
             ac.probe = _config.probe;
             ac.track = _config.probe->addTrack(

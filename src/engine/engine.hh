@@ -59,14 +59,6 @@ struct EngineConfig
     /** Retain stream windows across invocations (§V-B reuse). */
     bool retainBuffers = true;
     /**
-     * Per-engine predecode control: -1 follows the global
-     * setPredecodeEnabled toggle, 0 forces the raw interpreter, 1
-     * forces the predecoded stream. The differential fuzz harness runs
-     * interpreter and predecoded engines concurrently on one pool, so
-     * it cannot share the process-wide toggle.
-     */
-    int predecode = -1;
-    /**
      * Per-run timeline probe (null = observability off). The engine
      * threads it into every actor, stream unit and channel it builds;
      * the caller owns the probe and must keep it alive across invoke().

@@ -95,7 +95,10 @@ runPath(const FuzzCase &c, const char *name, const RunConfig &cfg)
     return r;
 }
 
-/** Fields that must be bit-identical between interp and predecode. */
+/**
+ * The scalar metrics of a path: bit-identical between equivalent legs,
+ * and the fields metricDigest() folds.
+ */
 struct MetricField
 {
     const char *name;
@@ -469,6 +472,37 @@ DiffOutcome::summary() const
     return out.str();
 }
 
+std::uint64_t
+metricDigest(const Metrics &m)
+{
+    // FNV-1a 64 over the bit patterns, so any drift in any bit shows.
+    std::uint64_t h = 14695981039346656037ULL;
+    const auto mix = [&h](const void *data, std::size_t n) {
+        const auto *p = static_cast<const unsigned char *>(data);
+        for (std::size_t i = 0; i < n; ++i) {
+            h ^= p[i];
+            h *= 1099511628211ULL;
+        }
+    };
+    const auto mix_double = [&mix](double v) {
+        std::uint64_t bits;
+        std::memcpy(&bits, &v, sizeof(bits));
+        mix(&bits, sizeof(bits));
+    };
+    for (const MetricField &mf : kMetricFields)
+        mix_double(m.*(mf.field));
+    for (const driver::OffloadPhaseBreakdown &row : m.offloadBreakdown) {
+        mix(row.kernel.c_str(), row.kernel.size() + 1);
+        mix_double(row.invocations);
+        for (double t : row.phaseTicks)
+            mix_double(t);
+        for (double v : {row.e2eTicks, row.p50, row.p95, row.p99,
+                         row.minTicks, row.maxTicks})
+            mix_double(v);
+    }
+    return h;
+}
+
 DiffOutcome
 runDifferential(const FuzzCase &c, const DiffOptions &opts)
 {
@@ -486,11 +520,10 @@ runDifferential(const FuzzCase &c, const DiffOptions &opts)
         RunConfig cfg;
     };
     std::vector<PathSpec> specs;
-    auto mkcfg = [](ArchModel m, int predecode = -1) {
+    auto mkcfg = [](ArchModel m) {
         RunConfig cfg;
         cfg.model = m;
         cfg.verifyPlans = compiler::VerifyMode::Error;
-        cfg.predecodeOverride = predecode;
         return cfg;
     };
     specs.push_back({"OoO", mkcfg(ArchModel::OoO)});
@@ -498,12 +531,9 @@ runDifferential(const FuzzCase &c, const DiffOptions &opts)
         specs.push_back({"Mono-CA", mkcfg(ArchModel::MonoCA)});
         specs.push_back({"Mono-DA-IO", mkcfg(ArchModel::MonoDA_IO)});
     }
-    specs.push_back(
-        {"Dist-DA-IO/interp", mkcfg(ArchModel::DistDA_IO, 0)});
-    specs.push_back(
-        {"Dist-DA-IO/predecode", mkcfg(ArchModel::DistDA_IO, 1)});
+    specs.push_back({"Dist-DA-IO", mkcfg(ArchModel::DistDA_IO)});
     if (opts.planRoundTrip) {
-        RunConfig replan = mkcfg(ArchModel::DistDA_IO, 1);
+        RunConfig replan = mkcfg(ArchModel::DistDA_IO);
         replan.planRoundTrip = true;
         specs.push_back({"Dist-DA-IO/replan", replan});
     }
@@ -588,18 +618,14 @@ runDifferential(const FuzzCase &c, const DiffOptions &opts)
         }
     }
 
-    // Interpreter vs predecode must agree on every metric exactly —
-    // the streams execute the same abstract program. Likewise the
-    // replan path against predecode: a plan that survived the text
-    // round trip must be indistinguishable in execution.
-    const PathResult *interp = nullptr;
-    const PathResult *pre = nullptr;
+    // The replan path must agree with Dist-DA-IO on every metric
+    // exactly: a plan that survived the text round trip must be
+    // indistinguishable in execution.
+    const PathResult *dist = nullptr;
     const PathResult *replan = nullptr;
     for (const PathResult &r : out.paths) {
-        if (r.path == "Dist-DA-IO/interp")
-            interp = &r;
-        if (r.path == "Dist-DA-IO/predecode")
-            pre = &r;
+        if (r.path == "Dist-DA-IO")
+            dist = &r;
         if (r.path == "Dist-DA-IO/replan")
             replan = &r;
     }
@@ -620,7 +646,7 @@ runDifferential(const FuzzCase &c, const DiffOptions &opts)
         }
     };
     // The lifecycle breakdown rides the same determinism contract:
-    // equivalent Dist-DA-IO legs must attribute identical per-phase
+    // the two Dist-DA-IO legs must attribute identical per-phase
     // ticks, not just identical totals.
     auto cross_check_breakdown = [&](const PathResult *a,
                                      const PathResult *b,
@@ -660,10 +686,8 @@ runDifferential(const FuzzCase &c, const DiffOptions &opts)
             }
         }
     };
-    cross_check_metrics(interp, pre, "interp/predecode");
-    cross_check_metrics(pre, replan, "predecode/replan");
-    cross_check_breakdown(interp, pre, "interp/predecode");
-    cross_check_breakdown(pre, replan, "predecode/replan");
+    cross_check_metrics(dist, replan, "Dist-DA-IO/replan");
+    cross_check_breakdown(dist, replan, "Dist-DA-IO/replan");
 
     for (const PathResult &r : out.paths)
         checkSanity(r, out.findings);

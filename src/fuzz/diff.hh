@@ -2,11 +2,13 @@
  * @file
  * The cross-execution oracle: compile one case and run it through
  * every available execution path — host reference (OoO), monolithic
- * accelerator variants, distributed interpreter actors, distributed
- * predecoded actors, and the CGRA backend — then cross-check
+ * accelerator variants, the distributed engine (Dist-DA-IO), the same
+ * engine on text-round-tripped plans (Dist-DA-IO/replan), and the CGRA
+ * backend — then cross-check
  *   - final memory-object state, byte for byte,
  *   - result-carry values, bit for bit,
- *   - interpreter-vs-predecode metrics, field for field,
+ *   - Dist-DA-IO-vs-replan metrics and lifecycle breakdown, field for
+ *     field,
  *   - stat sanity invariants (positive time, finite non-negative
  *     counters),
  *   - static plan-analysis facts (src/verify/analysis.hh) against the
@@ -20,6 +22,7 @@
 #ifndef DISTDA_FUZZ_DIFF_HH
 #define DISTDA_FUZZ_DIFF_HH
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -75,10 +78,10 @@ struct DiffOptions
     bool analyze = true;
     /**
      * Include the Dist-DA-IO/replan path: identical configuration to
-     * Dist-DA-IO/predecode except every plan is round-tripped through
-     * the text artifact format (serialize→parse→instantiate) before
-     * execution. Its metrics must match predecode field for field —
-     * the serializer's exactness oracle.
+     * Dist-DA-IO except every plan is round-tripped through the text
+     * artifact format (serialize→parse→instantiate) before execution.
+     * Its metrics must match Dist-DA-IO field for field — the
+     * serializer's exactness oracle.
      */
     bool planRoundTrip = true;
 };
@@ -102,6 +105,14 @@ struct DiffOutcome
     /** Human-readable multi-line report. */
     std::string summary() const;
 };
+
+/**
+ * FNV-1a 64 digest of @p m's exact simulated outcome: the bit patterns
+ * of the scalar metrics the oracle compares, then every lifecycle
+ * breakdown row. Host-dependent fields (wall time) are excluded, so a
+ * digest recorded once pins a path's metrics across builds and hosts.
+ */
+std::uint64_t metricDigest(const driver::Metrics &m);
 
 /** Run @p c through every enabled path and cross-check. */
 DiffOutcome runDifferential(const FuzzCase &c,

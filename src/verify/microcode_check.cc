@@ -1,8 +1,8 @@
 /**
  * @file
  * The microcode verifier: validates each partition's straight-line
- * program before the interpreter (or the CGRA's static mapping) ever
- * touches it — register def-before-use dataflow, register indices
+ * program before the actor's predecoder (or the CGRA's static mapping)
+ * ever touches it — register def-before-use dataflow, register indices
  * within the register file, accessor/channel/carry slot bounds against
  * the plan's buffer-allocation table, ALU opcode/operand arity,
  * int/float type propagation through CarrySlots, and the Table VI

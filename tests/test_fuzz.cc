@@ -3,15 +3,17 @@
  * Tests for the differential fuzz harness itself: generator
  * determinism, .repro round-tripping, validator rejection of malformed
  * cases, oracle agreement on generated cases, shrinker behaviour under
- * an artificial oracle, and replay of the committed corpus (every past
+ * an artificial oracle, replay of the committed corpus (every past
  * counterexample is a permanent regression test; DISTDA_CORPUS_DIR
- * points at tests/corpus in the source tree).
+ * points at tests/corpus in the source tree), and recorded metric
+ * digests that pin the Dist-DA-IO path's exact simulated outcome.
  */
 
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <gtest/gtest.h>
+#include <map>
 
 #include "src/fuzz/campaign.hh"
 #include "src/fuzz/diff.hh"
@@ -58,6 +60,32 @@ containsOp(const FuzzCase &c, compiler::OpCode op)
         }
     }
     return false;
+}
+
+std::string
+hex(std::uint64_t v)
+{
+    return strfmt("%016llx", static_cast<unsigned long long>(v));
+}
+
+/** fuzz::metricDigest of @p c's Dist-DA-IO path, which must not crash. */
+std::uint64_t
+distDigest(const FuzzCase &c)
+{
+    fuzz::DiffOptions opts;
+    opts.cgra = false;
+    opts.mono = false;
+    opts.analyze = false;
+    opts.planRoundTrip = false;
+    const fuzz::DiffOutcome out = fuzz::runDifferential(c, opts);
+    for (const fuzz::PathResult &r : out.paths) {
+        if (r.path != "Dist-DA-IO")
+            continue;
+        EXPECT_FALSE(r.crashed) << r.failure;
+        return fuzz::metricDigest(r.metrics);
+    }
+    ADD_FAILURE() << "no Dist-DA-IO path ran";
+    return 0;
 }
 
 } // namespace
@@ -255,4 +283,59 @@ TEST(FuzzCorpus, CommittedReproducersReplayGreen)
     ASSERT_FALSE(files.empty())
         << "no .repro files under " << DISTDA_CORPUS_DIR;
     EXPECT_EQ(fuzz::replayCorpus(files), 0);
+}
+
+// The digests below were recorded from the raw microcode interpreter
+// before it was retired in favour of the predecoded actors alone; they
+// stand in for that interpreter as the metric oracle. A change that
+// moves them must be a deliberate, documented model change.
+
+TEST(FuzzDigest, CorpusMetricsMatchRecordedDigests)
+{
+    QuietGuard quiet;
+    const std::map<std::string, std::string> want = {
+        {"fmin-host-b.repro", "bd0381fae093e2fc"},
+        {"fmin-host-run0.repro", "b52dbc0755b965b7"},
+        {"ixor-alu-run15.repro", "3f5cfbb9f4c4eff8"},
+        {"ixor-alu-run35.repro", "a7bd477ee0e9ef3f"},
+        {"ixor-alu-run83.repro", "90417eebf595e9ab"},
+        {"ixor-alu-run85.repro", "9cbcd48bc0aaf4fc"},
+        {"predecode-tap-run0.repro", "46138936a245c04b"},
+        {"predecode-tap-run1.repro", "a321fb9ed4c8d888"},
+    };
+    std::size_t seen = 0;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(DISTDA_CORPUS_DIR)) {
+        if (entry.path().extension() != ".repro")
+            continue;
+        const std::string name = entry.path().filename().string();
+        const std::string got =
+            hex(distDigest(fuzz::loadCase(entry.path().string())));
+        const auto it = want.find(name);
+        if (it == want.end()) {
+            ADD_FAILURE() << name << " has no recorded digest; actual "
+                          << got;
+            continue;
+        }
+        ++seen;
+        EXPECT_EQ(got, it->second) << name;
+    }
+    EXPECT_EQ(seen, want.size());
+}
+
+TEST(FuzzDigest, SmokeCampaignMetricsMatchRecordedDigest)
+{
+    QuietGuard quiet;
+    // The cases of `distda_fuzz --seed=1 --runs=200`, with their
+    // Dist-DA-IO digests folded in run order by FNV-1a 64.
+    std::uint64_t fold = 14695981039346656037ULL;
+    for (int run = 0; run < 200; ++run) {
+        const std::uint64_t d =
+            distDigest(fuzz::generateCase(fuzz::caseSeedFor(1, run)));
+        for (int byte = 0; byte < 8; ++byte) {
+            fold ^= (d >> (8 * byte)) & 0xff;
+            fold *= 1099511628211ULL;
+        }
+    }
+    EXPECT_EQ(hex(fold), "fd35d86bb27fd330");
 }

@@ -1,9 +1,12 @@
 /**
  * @file
- * Per-opcode differential tests: every ALU operation the microcode ISA
- * defines is exercised through a kernel on both the host executor and
- * the distributed engine, against a native lambda reference —
- * including the corner operand values each op class is sensitive to.
+ * Per-opcode tests: every ALU operation the microcode ISA defines is
+ * exercised through a kernel on the host executor, the distributed
+ * engine and the CGRA, including the corner operand values each op
+ * class is sensitive to. All three substrates compute values through
+ * the one compiler::evalOp, so the native-lambda table below is the
+ * independent ALU reference: it is written out separately on purpose,
+ * and a wrong case in evalOp shows up here on every substrate at once.
  */
 
 #include <cmath>
@@ -262,5 +265,56 @@ TEST(OpcodeShift, ShiftsAndConversions)
         const std::int64_t v =
             ((static_cast<std::int64_t>(i) + 1) << 3) >> 1;
         EXPECT_EQ(out.getF(i), static_cast<double>(v) + 1.0) << i;
+    }
+}
+
+TEST(OpcodeDivide, ByZeroFailsCatchablyOnEverySubstrate)
+{
+    setInformEnabled(false);
+    const std::uint64_t n = 16;
+    const std::pair<OpCode, const char *> ops[] = {
+        {OpCode::IDiv, "division by zero"},
+        {OpCode::IRem, "remainder by zero"},
+    };
+    for (const auto &[op, message] : ops) {
+        for (driver::ArchModel model :
+             {driver::ArchModel::OoO, driver::ArchModel::DistDA_IO,
+              driver::ArchModel::DistDA_F}) {
+            driver::SystemParams sp;
+            driver::System sys(sp);
+            auto a = sys.alloc("a", n, 8, false);
+            auto b = sys.alloc("b", n, 8, false);
+            auto c = sys.alloc("c", n, 8, false);
+            for (std::uint64_t i = 0; i < n; ++i) {
+                a.setI(i, 100 + static_cast<std::int64_t>(i));
+                b.setI(i, i == n / 2 ? 0 : 3);
+            }
+
+            KernelBuilder kb("div_zero");
+            const int oa = kb.object("a", n, 8, false);
+            const int ob = kb.object("b", n, 8, false);
+            const int oc = kb.object("c", n, 8, false);
+            kb.loopStatic(static_cast<std::int64_t>(n));
+            auto x = kb.load(oa, kb.affine(0, 1));
+            auto y = kb.load(ob, kb.affine(0, 1));
+            kb.store(oc, kb.affine(0, 1), kb.compute(op, x, y));
+            const compiler::Kernel kernel = kb.build();
+
+            driver::RunConfig cfg;
+            cfg.model = model;
+            std::string failure;
+            {
+                ScopedFailureCapture capture;
+                try {
+                    ExecContext ctx(sys, cfg);
+                    ctx.invoke(kernel, {a, b, c}, {});
+                } catch (const SimFailure &f) {
+                    failure = f.what();
+                }
+            }
+            EXPECT_NE(failure.find(message), std::string::npos)
+                << compiler::opName(op) << " under "
+                << archModelName(model) << ": '" << failure << "'";
+        }
     }
 }

@@ -2,8 +2,10 @@
  * @file
  * Sweep-engine tests: the thread pool, serial-vs-parallel metric
  * equality (the --jobs correctness bar), deterministic result
- * ordering, failure isolation of panicking/fatal()ing jobs, and
- * run-to-run repeatability of runWorkload itself.
+ * ordering, failure isolation of panicking/fatal()ing jobs, run-to-run
+ * repeatability of runWorkload itself, and the quick sweep against
+ * the committed golden CSV (DISTDA_GOLDEN_CSV points at
+ * tests/golden/quick_sweep.csv in the source tree).
  */
 
 #include <gtest/gtest.h>
@@ -11,12 +13,15 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <fstream>
 #include <mutex>
 #include <set>
+#include <sstream>
 #include <thread>
 
 #include "src/driver/pool.hh"
 #include "src/driver/sweep.hh"
+#include "src/workloads/workload.hh"
 
 using namespace distda;
 using driver::ArchModel;
@@ -225,6 +230,45 @@ TEST(Sweep, LabelOverridesConfigName)
     ASSERT_TRUE(results[0].ok);
     EXPECT_EQ(results[0].label, "ablation-variant");
     EXPECT_EQ(results[0].metrics.config, "ablation-variant");
+}
+
+TEST(Sweep, QuickSweepMatchesGoldenCsv)
+{
+    // `distda_run --workload=all --config=all --quick --csv`: every
+    // simulated metric of every headline run, byte for byte.
+    std::vector<SweepJob> jobs;
+    for (const std::string &w : workloads::workloadNames()) {
+        for (ArchModel m : driver::headlineModels()) {
+            SweepJob job;
+            job.workload = w;
+            job.config.model = m;
+            job.options.scale = 0.25;
+            jobs.push_back(job);
+        }
+    }
+    std::vector<std::string> got = {driver::csvHeader()};
+    for (const driver::SweepResult &r : driver::runSweep(jobs)) {
+        ASSERT_TRUE(r.ok) << r.workload << " " << r.label << ": "
+                          << r.error;
+        got.push_back(driver::csvRow(r.metrics));
+    }
+
+    std::ifstream in(DISTDA_GOLDEN_CSV);
+    ASSERT_TRUE(in) << "cannot read " << DISTDA_GOLDEN_CSV;
+    std::stringstream golden_text;
+    golden_text << in.rdbuf();
+    std::string joined;
+    for (const std::string &line : got)
+        joined += line + "\n";
+    if (joined == golden_text.str())
+        return;
+    std::vector<std::string> want;
+    for (std::string line; std::getline(golden_text, line);)
+        want.push_back(line);
+    EXPECT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < std::min(got.size(), want.size()); ++i)
+        EXPECT_EQ(got[i], want[i]) << "golden CSV line " << i + 1;
+    ADD_FAILURE() << "quick sweep differs from " << DISTDA_GOLDEN_CSV;
 }
 
 TEST(Sweep, CsvHeaderMatchesRowArity)
