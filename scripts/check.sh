@@ -14,9 +14,10 @@
 #      violations, affine bounds proven, liveness proven, at least
 #      one memoizable kernel)
 #   7. plan-artifact round trip: dump every plan of the quick sweep
-#      to a --plan-dir, validate each artifact with distda_plan,
-#      re-run loading from the artifacts and from a disabled cache —
-#      the golden quick-sweep CSV must stay byte-identical both ways
+#      to a --plan-dir, check a copy with a corrupted register field
+#      is rejected, validate each artifact with distda_plan, re-run
+#      loading from the artifacts and from a disabled cache — the
+#      golden quick-sweep CSV must stay byte-identical both ways
 #   8. offload-service smoke: distda_serve on a Unix socket under a
 #      1k-request mixed distda_load replay (zero failures, >=90%
 #      plan-cache hit rate), raw-socket robustness pokes, a served
@@ -178,6 +179,18 @@ rm -rf "$BUILD/plans"
     --jobs="$JOBS" --plan-dir="$BUILD/plans" \
     >"$BUILD/sweep-plandump.csv" 2>/dev/null
 cmp tests/golden/quick_sweep.csv "$BUILD/sweep-plandump.csv"
+# A copy with one corrupted register-file size must be rejected (exit
+# 1) by the same verifier fresh compiles pass, naming the defect; the
+# untouched artifacts still validate.
+BAD_SRC=$(grep -l '^program [1-9]' "$BUILD"/plans/*.plan | head -n 1)
+sed '0,/^program [1-9][0-9]*/s//program 0/' "$BAD_SRC" \
+    >"$BUILD/corrupt.plan"
+rc=0
+"$BUILD"/tools/distda_plan validate "$BUILD/corrupt.plan" \
+    >"$BUILD/corrupt.out" || rc=$?
+[ "$rc" -eq 1 ] || { echo "corrupted artifact: exit $rc"; exit 1; }
+grep -q "outside register file of 0" "$BUILD/corrupt.out" ||
+    { cat "$BUILD/corrupt.out"; exit 1; }
 "$BUILD"/tools/distda_plan validate "$BUILD"/plans/*.plan >/dev/null
 # Reload every artifact: metrics must not depend on whether a plan
 # was freshly compiled, deserialized, or compiled with caching off.

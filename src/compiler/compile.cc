@@ -181,7 +181,8 @@ edgeBytes(const Node &producer)
 OffloadPlan
 compileKernel(const Kernel &kernel, const CompileOptions &opts)
 {
-    kernel.verify();
+    if (const std::string d = kernel.defect(); !d.empty())
+        panic("%s", d.c_str());
 
     OffloadPlan plan;
     plan.kernel = kernel;

@@ -1,7 +1,7 @@
 #include "src/compiler/dfg.hh"
 
 #include <algorithm>
-#include <map>
+#include <set>
 
 #include "src/sim/logging.hh"
 
@@ -138,26 +138,25 @@ Node::valueInputs() const
     return ins;
 }
 
-std::vector<int>
-Kernel::topoOrder() const
+namespace
 {
-    // Kahn's algorithm over same-iteration (forward) edges only;
-    // carry back-edges are excluded so the graph is a DAG.
-    std::vector<int> indeg(nodes.size(), 0);
-    for (const Node &n : nodes) {
-        for (int in : n.valueInputs()) {
-            (void)in;
-            ++indeg[static_cast<std::size_t>(n.id)];
-        }
-    }
+
+/** Kahn's order over same-iteration edges; short iff they cycle. */
+std::vector<int>
+kahnOrder(const Kernel &k)
+{
+    std::vector<int> indeg(k.nodes.size(), 0);
+    for (const Node &n : k.nodes)
+        indeg[static_cast<std::size_t>(n.id)] +=
+            static_cast<int>(n.valueInputs().size());
     std::vector<int> ready;
-    for (const Node &n : nodes) {
+    for (const Node &n : k.nodes) {
         if (indeg[static_cast<std::size_t>(n.id)] == 0)
             ready.push_back(n.id);
     }
-    auto users = userLists();
+    auto users = k.userLists();
     std::vector<int> order;
-    order.reserve(nodes.size());
+    order.reserve(k.nodes.size());
     std::size_t head = 0;
     while (head < ready.size()) {
         const int id = ready[head++];
@@ -167,6 +166,15 @@ Kernel::topoOrder() const
                 ready.push_back(u);
         }
     }
+    return order;
+}
+
+} // namespace
+
+std::vector<int>
+Kernel::topoOrder() const
+{
+    std::vector<int> order = kahnOrder(*this);
     if (order.size() != nodes.size())
         panic("kernel '%s': DFG has a same-iteration cycle", name.c_str());
     return order;
@@ -205,38 +213,42 @@ Kernel::instCount() const
     return count;
 }
 
-void
-Kernel::verify() const
+std::string
+Kernel::defect() const
 {
-    std::map<int, int> obj_ids;
+    std::set<int> obj_ids;
     for (const MemObjectDecl &o : objects) {
         if (o.elemCount == 0)
-            panic("kernel '%s': object '%s' has zero elements",
-                  name.c_str(), o.name.c_str());
-        if (obj_ids.count(o.id))
-            panic("kernel '%s': duplicate object id %d", name.c_str(),
-                  o.id);
-        obj_ids[o.id] = 1;
+            return strfmt("kernel '%s': object '%s' has zero elements",
+                          name.c_str(), o.name.c_str());
+        if (!obj_ids.insert(o.id).second)
+            return strfmt("kernel '%s': duplicate object id %d",
+                          name.c_str(), o.id);
     }
     for (const Node &n : nodes) {
         if (n.id < 0 || n.id >= static_cast<int>(nodes.size()))
-            panic("kernel '%s': bad node id %d", name.c_str(), n.id);
+            return strfmt("kernel '%s': bad node id %d", name.c_str(),
+                          n.id);
         for (int in : n.valueInputs()) {
             if (in < 0 || in >= static_cast<int>(nodes.size()))
-                panic("kernel '%s': node %d has bad input %d",
-                      name.c_str(), n.id, in);
+                return strfmt("kernel '%s': node %d has bad input %d",
+                              name.c_str(), n.id, in);
         }
         if (n.kind == NodeKind::Access && !obj_ids.count(n.objId))
-            panic("kernel '%s': access %d targets unknown object %d",
-                  name.c_str(), n.id, n.objId);
+            return strfmt("kernel '%s': access %d targets unknown "
+                          "object %d",
+                          name.c_str(), n.id, n.objId);
         if (n.kind == NodeKind::Carry && n.carryUpdate == noNode)
-            panic("kernel '%s': carry '%s' never updated (missing "
-                  "setCarry)", name.c_str(), n.name.c_str());
+            return strfmt("kernel '%s': carry '%s' never updated "
+                          "(missing setCarry)",
+                          name.c_str(), n.name.c_str());
     }
     if (loop.extentParam < 0 && loop.staticExtent <= 0)
-        panic("kernel '%s': loop extent not set", name.c_str());
-    // Topological order must exist (panics internally otherwise).
-    (void)topoOrder();
+        return strfmt("kernel '%s': loop extent not set", name.c_str());
+    if (kahnOrder(*this).size() != nodes.size())
+        return strfmt("kernel '%s': DFG has a same-iteration cycle",
+                      name.c_str());
+    return {};
 }
 
 KernelBuilder::KernelBuilder(std::string kernel_name)
@@ -515,7 +527,8 @@ KernelBuilder::build()
     DISTDA_ASSERT(!_built, "kernel '%s' built twice",
                   _kernel.name.c_str());
     _built = true;
-    _kernel.verify();
+    if (const std::string d = _kernel.defect(); !d.empty())
+        panic("%s", d.c_str());
     return std::move(_kernel);
 }
 

@@ -253,8 +253,12 @@ struct Kernel
     /** Users of each node (reverse edges). */
     std::vector<std::vector<int>> userLists() const;
 
-    /** Consistency checks; panics on malformed graphs. */
-    void verify() const;
+    /**
+     * Consistency checks: a one-line description of the first defect
+     * (bad ids or inputs, unknown objects, unset carries or loop
+     * extent, a same-iteration cycle), or empty when well-formed.
+     */
+    std::string defect() const;
 };
 
 /** A value handle returned by KernelBuilder operations. */

@@ -90,14 +90,6 @@ PlanCache::insert(std::shared_ptr<const OffloadPlan> plan)
     evictLocked();
 }
 
-std::shared_ptr<const OffloadPlan>
-PlanCache::find(const std::string &fingerprint) const
-{
-    std::lock_guard<std::mutex> lk(_mu);
-    auto it = _entries.find(fingerprint);
-    return it == _entries.end() ? nullptr : it->second.plan;
-}
-
 PlanCache::Stats
 PlanCache::stats() const
 {
@@ -128,13 +120,6 @@ PlanCache::setEnabled(bool enabled)
         _order.clear();
     }
     _enabled = enabled;
-}
-
-bool
-PlanCache::enabled() const
-{
-    std::lock_guard<std::mutex> lk(_mu);
-    return _enabled;
 }
 
 void

@@ -84,17 +84,15 @@ class PlanCache
      */
     void insert(std::shared_ptr<const OffloadPlan> plan);
 
-    /** Cached plan by fingerprint; null when absent. */
-    std::shared_ptr<const OffloadPlan> find(
-        const std::string &fingerprint) const;
-
     Stats stats() const;
 
     /** Drop all entries and reset counters (tests). */
     void clear();
 
     /**
-     * Toggle caching (--plan-cache=off); enabled by default.
+     * Toggle caching; enabled by default. The one plan-cache switch:
+     * distda_run --plan-cache=off disables the process() instance
+     * before its sweep starts.
      *
      * Disabling FLUSHES every entry. The cache can live for the whole
      * process (distda_serve runs for days), so "off" must mean "not
@@ -107,7 +105,6 @@ class PlanCache
      * disabled one, is a no-op.
      */
     void setEnabled(bool enabled);
-    bool enabled() const;
 
     /**
      * FIFO capacity bound (default 4096): long fuzz campaigns and

@@ -51,12 +51,14 @@ std::string serializePlan(const OffloadPlan &plan);
 OffloadPlan parsePlan(const std::string &text);
 
 /**
- * Structural validation of a (possibly deserialized) plan: kernel
- * well-formedness, partition/channel/accessor/microcode cross
- * references, characteristics consistency, and that the recorded
- * fingerprint matches the recomputed one. Returns an empty string
- * when the plan is sound, else a one-line description of the first
- * defect found.
+ * Validation of a (possibly deserialized) plan, in three steps: the
+ * kernel's own defect check (Kernel::defect), the recorded fingerprint
+ * against the recomputed one, and the static verifier
+ * (verify::verifyPlan under verify::optionsFor(plan)), whose every
+ * structural check a fresh compile also passes. Any verifier error
+ * rejects the plan regardless of its recorded verify mode; warnings
+ * do not. Returns an empty string when the plan is sound, else a
+ * one-line description of the first defect found.
  */
 std::string validatePlanArtifact(const OffloadPlan &plan);
 
@@ -69,7 +71,11 @@ std::string validatePlanArtifact(const OffloadPlan &plan);
 std::string planArtifactFile(const std::string &kernel_name,
                              const std::string &fingerprint);
 
-/** Write @p plan to @p path atomically (temp file + rename). */
+/**
+ * Write @p plan to @p path atomically: a private temp file in the same
+ * directory, renamed into place, so concurrent writers of one path
+ * never fail or expose a torn artifact.
+ */
 void savePlan(const OffloadPlan &plan, const std::string &path);
 
 /** Load and parse an artifact file; fatal() on I/O or parse errors. */

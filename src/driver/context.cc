@@ -1,7 +1,6 @@
 #include "src/driver/context.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <fstream>
 
 #include "src/compiler/plan_cache.hh"
@@ -49,33 +48,20 @@ ExecContext::acquirePlan(const compiler::Kernel &kernel)
             }
             plan = std::move(loaded);
             _planHits += 1.0;
-            if (_config.planCache)
-                compiler::PlanCache::process().insert(plan);
+            compiler::PlanCache::process().insert(plan);
         }
     }
 
     if (!plan) {
-        if (_config.planCache) {
-            compiler::PlanCache::Lookup res =
-                compiler::PlanCache::process().getOrCompile(kernel,
-                                                            opts);
-            plan = res.plan;
-            if (res.hit)
-                _planHits += 1.0;
-            else
-                _planMisses += 1.0;
-            _planCompileMs += res.compileMs;
-            _planSavedMs += res.savedMs;
-        } else {
-            const auto t0 = std::chrono::steady_clock::now();
-            plan = std::make_shared<compiler::OffloadPlan>(
-                compiler::compileKernel(kernel, opts));
-            const auto t1 = std::chrono::steady_clock::now();
+        compiler::PlanCache::Lookup res =
+            compiler::PlanCache::process().getOrCompile(kernel, opts);
+        plan = res.plan;
+        if (res.hit)
+            _planHits += 1.0;
+        else
             _planMisses += 1.0;
-            _planCompileMs +=
-                std::chrono::duration<double, std::milli>(t1 - t0)
-                    .count();
-        }
+        _planCompileMs += res.compileMs;
+        _planSavedMs += res.savedMs;
         if (!artifact.empty())
             compiler::savePlan(*plan, artifact);
     }

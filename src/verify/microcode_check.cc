@@ -97,9 +97,8 @@ struct ProgState
     std::vector<VType> type;
 
     explicit ProgState(int num_regs)
-        : defined(static_cast<std::size_t>(std::max(num_regs, 0)), false),
-          type(static_cast<std::size_t>(std::max(num_regs, 0)),
-               VType::Unknown)
+        : defined(static_cast<std::size_t>(num_regs), false),
+          type(static_cast<std::size_t>(num_regs), VType::Unknown)
     {
     }
 
@@ -138,10 +137,12 @@ checkPreloads(const OffloadPlan &plan, const Partition &part,
 
     for (const auto &c : prog.constRegs)
         preload(c.reg, c.isFloat ? VType::Float : VType::Int, "constant");
+    const std::size_t num_params = plan.kernel.paramNames.size();
     for (const auto &[param, reg] : prog.paramRegs) {
-        if (param < 0) {
+        if (param < 0 || static_cast<std::size_t>(param) >= num_params) {
             report.add(Severity::Error, passName, loc,
-                       "negative parameter index %d preloaded", param);
+                       "parameter index %d preloaded, kernel has %zu",
+                       param, num_params);
         }
         preload(reg, VType::Unknown, "parameter");
     }
@@ -212,6 +213,14 @@ checkProgram(const OffloadPlan &plan, const Partition &part,
              Report &report)
 {
     const MicroProgram &prog = part.program;
+    // Operands are 16-bit with noReg reserved: that bounds the register
+    // file, and with it the state sized from this (untrusted) count.
+    if (prog.numRegs < 0 || prog.numRegs > noReg) {
+        report.add(Severity::Error, passName, partLoc(plan, part.id),
+                   "register file of %d outside [0, %u]", prog.numRegs,
+                   noReg);
+        return;
+    }
     ProgState st(prog.numRegs);
     checkPreloads(plan, part, st, report);
 
@@ -235,20 +244,32 @@ checkProgram(const OffloadPlan &plan, const Partition &part,
                        "instruction after CarryWrite epilogue");
         }
 
-        // A source register must be in range and defined; returns its
-        // propagated type (Unknown on any failure).
+        // Every register field is decoded, whether or not this kind
+        // reads it: each must name a register of the file.
+        const std::pair<std::uint16_t, const char *> fields[] = {
+            {inst.dst, "destination"},
+            {inst.a, "operand a"},
+            {inst.b, "operand b"},
+            {inst.c, "operand c"},
+        };
+        for (const auto &[reg, field] : fields) {
+            if (reg != noReg && !st.inRange(reg)) {
+                report.add(Severity::Error, passName, loc,
+                           "%s r%u outside register file of %d", field,
+                           reg, prog.numRegs);
+            }
+        }
+
+        // A source register must be in range (reported above) and
+        // defined; returns its propagated type (Unknown on failure).
         auto use = [&](std::uint16_t reg, const char *operand) -> VType {
             if (reg == noReg) {
                 report.add(Severity::Error, passName, loc,
                            "missing %s operand", operand);
                 return VType::Unknown;
             }
-            if (!st.inRange(reg)) {
-                report.add(Severity::Error, passName, loc,
-                           "%s operand r%u outside register file of %d",
-                           operand, reg, prog.numRegs);
+            if (!st.inRange(reg))
                 return VType::Unknown;
-            }
             if (!st.defined[reg]) {
                 report.add(Severity::Error, passName, loc,
                            "%s operand r%u used before definition",
@@ -274,12 +295,6 @@ checkProgram(const OffloadPlan &plan, const Partition &part,
                 report.add(Severity::Error, passName, loc,
                            "instruction produces a value but has no "
                            "destination register");
-                return;
-            }
-            if (!st.inRange(reg)) {
-                report.add(Severity::Error, passName, loc,
-                           "destination r%u outside register file of %d",
-                           reg, prog.numRegs);
                 return;
             }
             st.define(reg, t);

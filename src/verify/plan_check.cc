@@ -7,6 +7,8 @@
  * plus Table VI characteristics consistency.
  */
 
+#include <algorithm>
+#include <cmath>
 #include <map>
 #include <set>
 
@@ -37,6 +39,19 @@ replicable(NodeKind kind)
     return kind == NodeKind::ConstInt || kind == NodeKind::ConstFloat ||
            kind == NodeKind::Param || kind == NodeKind::IndVar ||
            kind == NodeKind::MemObject;
+}
+
+/** Channels and locations name partitions by index: ids are dense. */
+void
+checkPartitionIds(const OffloadPlan &plan, Report &report)
+{
+    for (std::size_t i = 0; i < plan.partitions.size(); ++i) {
+        if (plan.partitions[i].id != static_cast<int>(i)) {
+            report.add(Severity::Error, passName, kernelLoc(plan),
+                       "partition at index %zu carries id %d", i,
+                       plan.partitions[i].id);
+        }
+    }
 }
 
 void
@@ -95,6 +110,9 @@ checkAccessorPlacement(const OffloadPlan &plan, const Options &opts,
                        Report &report)
 {
     const Kernel &kernel = plan.kernel;
+    std::set<int> obj_ids;
+    for (const compiler::MemObjectDecl &o : kernel.objects)
+        obj_ids.insert(o.id);
     std::set<int> access_ids;
     for (const Partition &part : plan.partitions) {
         std::set<int> placed;
@@ -109,6 +127,11 @@ checkAccessorPlacement(const OffloadPlan &plan, const Options &opts,
                            "access node",
                            ad.node);
                 continue;
+            }
+            if (!obj_ids.count(ad.objId)) {
+                report.add(Severity::Error, passName, loc,
+                           "accessor (node %d) on unknown object %d",
+                           ad.node, ad.objId);
             }
             if (!placed.insert(ad.node).second) {
                 report.add(Severity::Error, passName, loc,
@@ -167,8 +190,9 @@ checkAccessorPlacement(const OffloadPlan &plan, const Options &opts,
                            "leader on another object/stride",
                            ad.node);
             }
-            const std::uint64_t span =
-                static_cast<std::uint64_t>(std::llabs(ad.combineDistance)) *
+            // In double: an untrusted distance must not overflow.
+            const double span =
+                std::fabs(static_cast<double>(ad.combineDistance)) *
                     ad.elemBytes +
                 mem::lineBytes;
             if (span > opts.bufferBytes) {
@@ -283,6 +307,7 @@ void
 checkWiring(const OffloadPlan &plan, Report &report)
 {
     const int nparts = static_cast<int>(plan.partitions.size());
+    const int nnodes = static_cast<int>(plan.kernel.nodes.size());
     for (std::size_t i = 0; i < plan.channels.size(); ++i) {
         const ChannelDef &ch = plan.channels[i];
         const std::string loc = kernelLoc(plan);
@@ -296,7 +321,7 @@ checkWiring(const OffloadPlan &plan, Report &report)
                        ch.id, ch.srcPartition);
             continue;
         }
-        if (ch.dstPartition >= nparts) {
+        if (ch.dstPartition < -1 || ch.dstPartition >= nparts) {
             report.add(Severity::Error, passName, loc,
                        "channel %d destination partition %d out of range",
                        ch.id, ch.dstPartition);
@@ -326,6 +351,19 @@ checkWiring(const OffloadPlan &plan, Report &report)
                            "partition's in-channel list (expected once)",
                            ch.id, count_in(dst.inChannels, ch.id));
             }
+            continue;
+        }
+        // Host-bound channels match no DFG edge, so the
+        // materialization check never vets their source and width.
+        if (ch.srcNode != compiler::noNode &&
+            (ch.srcNode < 0 || ch.srcNode >= nnodes)) {
+            report.add(Severity::Error, passName, loc,
+                       "host-bound channel %d sourced by unknown node %d",
+                       ch.id, ch.srcNode);
+        }
+        if (ch.bits == 0) {
+            report.add(Severity::Error, passName, loc,
+                       "host-bound channel %d has zero width", ch.id);
         }
     }
     // No partition may list a channel the channel table disagrees with.
@@ -364,11 +402,21 @@ checkCharacteristics(const OffloadPlan &plan, Report &report)
                    "characteristics claim %d partitions, plan has %zu",
                    ch.numPartitions, plan.partitions.size());
     }
-    if (ch.maxInstBytes !=
-        ch.maxInsts * static_cast<int>(compiler::microInstBytes)) {
+    if (ch.maxInstBytes != static_cast<std::int64_t>(ch.maxInsts) *
+                               compiler::microInstBytes) {
         report.add(Severity::Error, passName, kernelLoc(plan),
                    "Table VI insts(B) %d != 8 * %d static insts",
                    ch.maxInstBytes, ch.maxInsts);
+    }
+    std::size_t longest = 0;
+    for (const Partition &part : plan.partitions)
+        longest = std::max(longest, part.program.insts.size());
+    if (ch.maxInsts < 0 ||
+        static_cast<std::size_t>(ch.maxInsts) != longest) {
+        report.add(Severity::Error, passName, kernelLoc(plan),
+                   "characteristics claim max %d insts, longest program "
+                   "has %zu",
+                   ch.maxInsts, longest);
     }
 }
 
@@ -382,6 +430,7 @@ checkPlan(const OffloadPlan &plan, const Options &opts, Report &report)
                    "plan has no partitions");
         return;
     }
+    checkPartitionIds(plan, report);
     checkNodeCoverage(plan, report);
     checkObjectConstraint(plan, report);
     checkAccessorPlacement(plan, opts, report);

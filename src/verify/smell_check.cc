@@ -6,6 +6,7 @@
  * no work at all.
  */
 
+#include <algorithm>
 #include <set>
 #include <vector>
 
@@ -41,8 +42,8 @@ checkPartition(const OffloadPlan &plan, const Partition &part,
     }
 
     // Registers read by some instruction.
-    std::vector<bool> read(static_cast<std::size_t>(
-                               std::max(prog.numRegs, 0)),
+    std::vector<bool> read(static_cast<std::size_t>(std::clamp(
+                               prog.numRegs, 0, static_cast<int>(noReg))),
                            false);
     auto mark = [&read](std::uint16_t r) {
         if (r != noReg && r < read.size())

@@ -9,15 +9,22 @@
  * paper rule (Table VI encoding, the SSIV-B decoupling contract, the
  * SSV-A partitioning constraints).
  *
+ * Every plan goes through it: fresh compiles (under
+ * CompileOptions::verifyPlans) and loaded artifacts alike
+ * (compiler::validatePlanArtifact), so each pass must tolerate
+ * malformed input and report it rather than index out of range.
+ *
  * Passes:
- *   plan       partitioner invariants: node coverage, <=1 object per
- *              partition, accessor placement, cut edges materialized
- *              as channels, carry cycles intra-partition, Table VI
- *              characteristics consistency
+ *   plan       partitioner invariants: dense partition ids, node
+ *              coverage, <=1 object per partition, accessor placement
+ *              on kernel objects, cut edges materialized as channels,
+ *              channel wiring (host-bound ones included), carry cycles
+ *              intra-partition, Table VI characteristics consistency
  *   microcode  per-partition programs: def-before-use dataflow,
- *              register/slot bounds against the buffer-allocation
- *              table, ALU operand arity, int/float type propagation
- *              through CarrySlots, byteSize() == 8 * insts
+ *              register-file size, register/slot/param bounds against
+ *              the buffer-allocation table and the kernel, ALU operand
+ *              arity, int/float type propagation through CarrySlots,
+ *              byteSize() == 8 * insts
  *   channels   the SSIV-B decoupling contract: produce/consume counts
  *              balanced per iteration, no zero-capacity channels, no
  *              first-iteration channel-dependence deadlock

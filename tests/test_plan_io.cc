@@ -10,9 +10,15 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <atomic>
 #include <cstdio>
+#include <filesystem>
+#include <functional>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/compiler/plan_cache.hh"
@@ -55,9 +61,9 @@ compileAllKernels(ArchModel model)
 
 /** One representative compiled plan for corruption/file tests. */
 OffloadPlan
-samplePlan()
+samplePlan(const std::string &workload = "fdt")
 {
-    auto wl = workloads::makeWorkload("fdt", 0.25);
+    auto wl = workloads::makeWorkload(workload, 0.25);
     driver::SystemParams sp;
     sp.arenaBytes = wl->arenaBytes();
     driver::RunConfig cfg;
@@ -174,34 +180,124 @@ TEST(PlanIo, ParseRejectsTruncatedAndMangledArtifacts)
 
 TEST(PlanIo, ValidatorFlagsCorruptedFields)
 {
-    const OffloadPlan plan = samplePlan();
-    const std::string text = compiler::serializePlan(plan);
+    // bfs_relax: three partitions, two channels, a carry and a param
+    // preload, so every structural field has something to corrupt.
+    const OffloadPlan plan = samplePlan("bfs");
+    ASSERT_EQ(plan.partitions.size(), 3u);
+    ASSERT_EQ(plan.partitions[2].inChannels.size(), 2u);
+    ASSERT_FALSE(plan.partitions[2].program.paramRegs.empty());
+    ASSERT_FALSE(plan.partitions[2].program.carries.empty());
 
-    auto corrupt = [&](const std::string &from, const std::string &to) {
-        std::string t = text;
-        const std::size_t pos = t.find(from);
-        EXPECT_NE(pos, std::string::npos) << from;
-        t.replace(pos, from.size(), to);
-        return compiler::validatePlanArtifact(compiler::parsePlan(t));
+    using compiler::ChannelDef;
+    using compiler::MicroInst;
+    using compiler::MicroKind;
+    auto inst_of = [](OffloadPlan &p, std::size_t part,
+                      MicroKind kind) -> MicroInst & {
+        for (MicroInst &inst : p.partitions[part].program.insts) {
+            if (inst.kind == kind)
+                return inst;
+        }
+        ADD_FAILURE() << "partition " << part << " has no such inst";
+        return p.partitions[part].program.insts.front();
+    };
+    // A channel partition 2 produces for the host (dst -1 by default).
+    auto add_host_channel = [](OffloadPlan &p, ChannelDef ch) {
+        ch.id = static_cast<int>(p.channels.size());
+        ch.srcPartition = 2;
+        p.partitions[2].outChannels.push_back(ch.id);
+        p.channels.push_back(ch);
     };
 
-    // Tampered fingerprint: recompute must disagree.
-    const std::string fp_line = "fingerprint " + plan.fingerprint;
-    const std::string flipped =
-        "fingerprint " +
-        std::string(plan.fingerprint[0] == '0' ? "1" : "0") +
-        plan.fingerprint.substr(1);
-    EXPECT_NE(corrupt(fp_line, flipped), "");
-
-    // Characteristics out of sync with the partition list.
-    const std::string chars = "chars " + std::to_string(static_cast<
-        long long>(plan.characteristics.numPartitions));
-    const std::string wrong = "chars " + std::to_string(static_cast<
-        long long>(plan.characteristics.numPartitions + 1));
-    EXPECT_NE(corrupt(chars, wrong), "");
+    const struct
+    {
+        const char *fragment; ///< expected in the first diagnostic
+        std::function<void(OffloadPlan &)> corrupt;
+    } rows[] = {
+        {"fingerprint mismatch",
+         [](OffloadPlan &p) {
+             p.fingerprint[0] = p.fingerprint[0] == '0' ? '1' : '0';
+         }},
+        {"characteristics claim 4 partitions",
+         [](OffloadPlan &p) { ++p.characteristics.numPartitions; }},
+        // The checks that moved into the verifier.
+        {"partition at index 1 carries id 5",
+         [](OffloadPlan &p) { p.partitions[1].id = 5; }},
+        {"parameter index 1 preloaded, kernel has 1",
+         [](OffloadPlan &p) {
+             p.partitions[2].program.paramRegs[0].first = 1;
+         }},
+        {"destination partition -2 out of range",
+         [&](OffloadPlan &p) {
+             ChannelDef ch;
+             ch.dstPartition = -2;
+             ch.srcNode = p.partitions[2].nodes.front();
+             add_host_channel(p, ch);
+         }},
+        {"host-bound channel 2 sourced by unknown node 999",
+         [&](OffloadPlan &p) {
+             ChannelDef ch;
+             ch.srcNode = 999;
+             add_host_channel(p, ch);
+         }},
+        {"host-bound channel 2 has zero width",
+         [&](OffloadPlan &p) {
+             ChannelDef ch;
+             ch.srcNode = p.partitions[2].nodes.front();
+             ch.bits = 0;
+             add_host_channel(p, ch);
+         }},
+        {"characteristics claim max 12 insts",
+         [](OffloadPlan &p) {
+             ++p.characteristics.maxInsts;
+             p.characteristics.maxInstBytes += 8;
+         }},
+        {"on unknown object 42",
+         [](OffloadPlan &p) { p.partitions[0].accessors[0].objId = 42; }},
+        // Other structural defects.
+        {"destination r1 outside register file of 1",
+         [&](OffloadPlan &p) {
+             inst_of(p, 0, MicroKind::LoadStream).dst = 1;
+         }},
+        {"operand c r7 outside register file of 1",
+         [&](OffloadPlan &p) { inst_of(p, 0, MicroKind::LoadStream).c = 7; }},
+        {"register file of 100000 outside",
+         [](OffloadPlan &p) { p.partitions[0].program.numRegs = 100000; }},
+        {"consume slot 5 outside",
+         [&](OffloadPlan &p) { inst_of(p, 2, MicroKind::Consume).slot = 5; }},
+        {"produce slot 5 outside",
+         [&](OffloadPlan &p) { inst_of(p, 0, MicroKind::Produce).slot = 5; }},
+        {"carry slot 5 outside",
+         [&](OffloadPlan &p) {
+             inst_of(p, 2, MicroKind::CarryWrite).slot = 5;
+         }},
+        {"in-channel",
+         [](OffloadPlan &p) { p.partitions[2].inChannels[0] = 7; }},
+        {"duplicated across 2 partitions",
+         [](OffloadPlan &p) {
+             p.partitions[1].nodes.push_back(p.partitions[0].nodes.back());
+         }},
+        {"kernel malformed",
+         [](OffloadPlan &p) {
+             for (compiler::Node &n : p.kernel.nodes) {
+                 if (n.kind == compiler::NodeKind::Access) {
+                     n.objId = 42;
+                     break;
+                 }
+             }
+         }},
+    };
+    for (const auto &row : rows) {
+        OffloadPlan p = plan;
+        row.corrupt(p);
+        const std::string defect = compiler::validatePlanArtifact(
+            compiler::parsePlan(compiler::serializePlan(p)));
+        EXPECT_NE(defect.find(row.fragment), std::string::npos)
+            << "want '" << row.fragment << "', got '" << defect << "'";
+    }
 
     // The untouched artifact stays clean.
-    EXPECT_EQ(compiler::validatePlanArtifact(compiler::parsePlan(text)),
+    EXPECT_EQ(compiler::validatePlanArtifact(compiler::parsePlan(
+                  compiler::serializePlan(plan))),
               "");
 }
 
@@ -223,6 +319,46 @@ TEST(PlanIo, ArtifactFileNameSanitizesHostileKernelNames)
 {
     EXPECT_EQ(compiler::planArtifactFile("a b/c", "0123456789abcdef"),
               "a_b-c-0123456789abcdef.plan");
+}
+
+TEST(PlanIo, ConcurrentSavesOfOnePlanNeverFail)
+{
+    // Sweep jobs that compile the same kernel dump the same artifact
+    // path at once: no writer may fail, and the survivor must load.
+    namespace fs = std::filesystem;
+    const OffloadPlan plan = samplePlan();
+    const fs::path dir = fs::path(::testing::TempDir()) /
+                         ("plan-save-" + std::to_string(::getpid()));
+    fs::create_directories(dir);
+    const std::string path =
+        (dir / compiler::planArtifactFile(plan.kernel.name,
+                                          plan.fingerprint))
+            .string();
+    std::atomic<int> failures{0};
+    std::vector<std::thread> writers;
+    for (int t = 0; t < 4; ++t) {
+        writers.emplace_back([&] {
+            for (int i = 0; i < 200; ++i) {
+                try {
+                    ScopedFailureCapture capture;
+                    compiler::savePlan(plan, path);
+                } catch (const SimFailure &) {
+                    ++failures;
+                }
+            }
+        });
+    }
+    for (std::thread &w : writers)
+        w.join();
+    EXPECT_EQ(failures.load(), 0);
+    EXPECT_EQ(compiler::validatePlanArtifact(compiler::loadPlan(path)),
+              "");
+
+    // Every temp file was renamed into place: only the artifact is left.
+    const auto entries = std::distance(fs::directory_iterator(dir),
+                                       fs::directory_iterator());
+    EXPECT_EQ(entries, 1);
+    fs::remove_all(dir);
 }
 
 TEST(PlanCacheTest, HitsAndMissesAreCounted)
@@ -275,8 +411,6 @@ TEST(PlanCacheTest, InsertedPlansAreFoundByFingerprint)
     PlanCache cache;
     auto plan = std::make_shared<const OffloadPlan>(samplePlan());
     cache.insert(plan);
-    EXPECT_EQ(cache.find(plan->fingerprint).get(), plan.get());
-    EXPECT_EQ(cache.find("ffffffffffffffff"), nullptr);
 
     // A subsequent lookup of the same (kernel, options) is a hit on
     // the inserted instance — no recompilation.
@@ -291,22 +425,19 @@ TEST(PlanCacheTest, CachedAndFreshRunsProduceIdenticalMetrics)
     driver::RunOptions opts;
     opts.scale = 0.25;
 
-    driver::RunConfig cached;
-    cached.model = ArchModel::DistDA_IO;
-    cached.planCache = true;
-    driver::RunConfig fresh = cached;
-    fresh.planCache = false;
+    driver::RunConfig cfg;
+    cfg.model = ArchModel::DistDA_IO;
 
-    PlanCache::process().clear();
-    const driver::Metrics warm =
-        driver::runWorkload("sei", cached, opts);
-    const driver::Metrics hit =
-        driver::runWorkload("sei", cached, opts);
-    const driver::Metrics cold =
-        driver::runWorkload("sei", fresh, opts);
+    PlanCache &cache = PlanCache::process();
+    cache.clear();
+    const driver::Metrics warm = driver::runWorkload("sei", cfg, opts);
+    const driver::Metrics hit = driver::runWorkload("sei", cfg, opts);
+    cache.setEnabled(false);
+    const driver::Metrics cold = driver::runWorkload("sei", cfg, opts);
+    cache.setEnabled(true);
 
     // The second cached run hits for every kernel the first compiled;
-    // the uncached run never consults the cache.
+    // with the cache off every kernel compiles fresh.
     EXPECT_GT(warm.planCacheMisses, 0.0);
     EXPECT_EQ(warm.planCacheHits, 0.0);
     EXPECT_GT(hit.planCacheHits, 0.0);
@@ -319,7 +450,7 @@ TEST(PlanCacheTest, CachedAndFreshRunsProduceIdenticalMetrics)
         EXPECT_EQ(warm.*field, hit.*field) << name;
         EXPECT_EQ(warm.*field, cold.*field) << name;
     }
-    PlanCache::process().clear();
+    cache.clear();
 }
 
 TEST(PlanCacheTest, RoundTrippedPlansRunIdentically)

@@ -200,6 +200,9 @@ TEST(ServeProtocol, SchemaViolationsAreNamedErrors)
          "unknown request member 'frobnicate'"},
         {R"({"workload":"fdt","config":{"model":"Dist-DA-IO","x":1}})",
          "unknown config member 'x'"},
+        {R"({"workload":"fdt",)"
+         R"("config":{"model":"Dist-DA-IO","plan_cache":false}})",
+         "unknown config member 'plan_cache'"},
         {R"({"id":-1,"workload":"fdt","config":"Dist-DA-IO"})",
          "non-negative integer"},
     };

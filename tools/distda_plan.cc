@@ -18,10 +18,11 @@
  * one "<kernel>-<fingerprint>.plan" file per kernel into --out=<dir>
  * (creating the directory), exactly as the runner's --plan-dir does.
  *
- * validate parses each artifact, runs the structural validator (cross
- * references, characteristics consistency, fingerprint match) and
- * checks the serialize→parse→serialize round trip is byte-identical.
- * Exit status is nonzero iff any file fails.
+ * validate parses each artifact, runs validatePlanArtifact (kernel
+ * defects, fingerprint match, and the static verifier every fresh
+ * compile passes) and checks the serialize→parse→serialize round trip
+ * is byte-identical. It prints the first defect of each failing file;
+ * exit status is nonzero iff any file fails.
  *
  * diff compares two artifacts line by line and prints the first
  * divergence plus a summary; exit status 1 when they differ.

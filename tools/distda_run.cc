@@ -59,9 +59,11 @@
  * each kernel's serialized plan artifact from the directory when a
  * matching one exists (same kernel and compile options, checked by
  * fingerprint) and dumps freshly compiled plans into it otherwise, so
- * a second run skips compilation entirely. --plan-cache=off disables
- * the in-process plan cache (every context compiles fresh); it is on
- * by default. Use tools/distda_plan to inspect artifacts.
+ * a second run skips compilation entirely; a loaded artifact passes
+ * the same static verifier as a fresh compile. --plan-cache=off
+ * disables the process-wide plan cache before the sweep starts (every
+ * run compiles fresh); it is on by default. Use tools/distda_plan to
+ * inspect artifacts.
  *
  * Examples:
  *   distda_run --workload=fdt --config=Dist-DA-F
@@ -84,6 +86,7 @@
 #include <string>
 #include <vector>
 
+#include "src/compiler/plan_cache.hh"
 #include "src/driver/config.hh"
 #include "src/driver/sweep.hh"
 #include "src/offload/lifecycle.hh"
@@ -306,10 +309,10 @@ main(int argc, char **argv)
             sweep_opts.reportDir = arg.substr(13);
         } else if (arg.rfind("--plan-dir=", 0) == 0) {
             cfg.planDir = arg.substr(11);
-        } else if (arg == "--plan-cache" || arg == "--plan-cache=on") {
-            cfg.planCache = true;
-        } else if (arg == "--plan-cache=off") {
-            cfg.planCache = false;
+        } else if (arg == "--plan-cache" || arg == "--plan-cache=on" ||
+                   arg == "--plan-cache=off") {
+            compiler::PlanCache::process().setEnabled(
+                arg != "--plan-cache=off");
         } else {
             fatal("unknown flag '%s'", arg.c_str());
         }
