@@ -26,7 +26,8 @@
 #   9. quick bench smoke through the sweep engine
 #  10. Release build + perf-regression gate (bench/perf_baseline vs
 #      the most recent committed BENCH_*.json, via
-#      scripts/perf_check.sh)
+#      scripts/perf_check.sh), with the golden CSV byte-identical from
+#      the -O3 build too (the benchmark's optimisation level)
 #  11. ASan+UBSan and TSan test-suite runs, plus a TSan parallel
 #      sweep smoke
 #  12. clang-tidy (when available): strict over src/verify + src/sim
@@ -311,6 +312,9 @@ cmake --build "$BUILD-release" -j "$(nproc)" --target perf_baseline \
     distda_run
 "$BUILD-release"/tools/distda_run --workload=pr --config=Dist-DA-F \
     --quick >/dev/null
+"$BUILD-release"/tools/distda_run --workload=all --config=all --quick --csv \
+    --jobs="$JOBS" >"$BUILD-release/sweep-release.csv" 2>/dev/null
+cmp tests/golden/quick_sweep.csv "$BUILD-release/sweep-release.csv"
 "$BUILD-release"/bench/perf_baseline --label=check \
     --out="$BUILD-release"
 scripts/perf_check.sh "$BUILD-release/BENCH_check.json"

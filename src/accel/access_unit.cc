@@ -1,6 +1,7 @@
 #include "src/accel/access_unit.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cstdlib>
 #include <limits>
 
@@ -36,6 +37,11 @@ StreamUnit::StreamUnit(const StreamParams &params, MemPort port,
             static_cast<std::int64_t>(mem::lineBytes) / s, 1);
         _fetchBytes = mem::lineBytes;
     }
+    _fetchShift = std::has_single_bit(
+                      static_cast<std::uint64_t>(_elemsPerFetch))
+                      ? std::countr_zero(
+                            static_cast<std::uint64_t>(_elemsPerFetch))
+                      : -1;
     _capacityChunks = std::max<std::int64_t>(
         params.capacityBytes / std::max<std::uint32_t>(_fetchBytes, 1),
         2);
@@ -71,7 +77,6 @@ StreamUnit::grow(std::int64_t c, sim::Tick now, bool fetch)
         const sim::Tick lat = _port(chunkAddr(c), _fetchBytes, false,
                                     issue);
         ch.ready = issue + lat;
-        ch.fetched = true;
         _fsmNow = issue + _params.cycleTick;
         _stats->daBytes += _fetchBytes;
         _stats->bufferAccesses += _elemsPerFetch;
@@ -88,15 +93,27 @@ StreamUnit::grow(std::int64_t c, sim::Tick now, bool fetch)
     } else {
         ch.ready = now;
     }
-    if (_window.empty()) {
+    const auto size = static_cast<std::size_t>(_hiChunk - _loChunk);
+    if (size == _ring.size()) {
+        // Full (or never sized): double, unrolling the window to the
+        // front of the new ring.
+        std::vector<Chunk> grown(std::max<std::size_t>(2 * size, 8));
+        for (std::size_t i = 0; i < size; ++i)
+            grown[i] = _ring[(_ringHead + i) & (size - 1)];
+        _ring = std::move(grown);
+        _ringHead = 0;
+    }
+    const std::size_t mask = _ring.size() - 1;
+    if (size == 0) {
         _loChunk = c;
         _hiChunk = c + 1;
-        _window.push_back(ch);
+        _ring[_ringHead] = ch;
     } else if (c == _hiChunk) {
-        _window.push_back(ch);
+        _ring[(_ringHead + size) & mask] = ch;
         ++_hiChunk;
     } else if (c == _loChunk - 1) {
-        _window.push_front(ch);
+        _ringHead = (_ringHead - 1) & mask;
+        _ring[_ringHead] = ch;
         --_loChunk;
     } else {
         panic("stream window grow at %lld outside [%lld,%lld)",
@@ -110,7 +127,7 @@ StreamUnit::grow(std::int64_t c, sim::Tick now, bool fetch)
 void
 StreamUnit::evictFront(sim::Tick now)
 {
-    Chunk &ch = _window.front();
+    const Chunk &ch = _ring[_ringHead];
     if (ch.dirty) {
         const sim::Tick issue = std::max(_fsmNow, now);
         const sim::Tick lat =
@@ -127,7 +144,7 @@ StreamUnit::evictFront(sim::Tick now)
                        static_cast<unsigned long long>(
                            chunkAddr(_loChunk)));
     }
-    _window.pop_front();
+    _ringHead = (_ringHead + 1) & (_ring.size() - 1);
     ++_loChunk;
     updateFastBounds();
 }
@@ -135,19 +152,19 @@ StreamUnit::evictFront(sim::Tick now)
 void
 StreamUnit::ensure(std::int64_t c, sim::Tick now, bool fetch)
 {
-    if (!_window.empty() && c >= _loChunk && c < _hiChunk)
+    if (c >= _loChunk && c < _hiChunk)
         return;
     // Grow toward c, evicting from the front when capacity is hit.
     // Reusable window space — chunks a trailing tap still needs — is
     // protected by the eviction bound.
     const std::int64_t protect = chunkOf(_leadK - _maxTapDistance);
-    while (_window.empty() || c >= _hiChunk) {
-        if (!_window.empty() &&
+    while (_loChunk == _hiChunk || c >= _hiChunk) {
+        if (_loChunk != _hiChunk &&
             _hiChunk - _loChunk >= _capacityChunks &&
             _loChunk < protect) {
             evictFront(now);
         }
-        grow(_window.empty() ? c : _hiChunk, now, fetch);
+        grow(_loChunk == _hiChunk ? c : _hiChunk, now, fetch);
         if (_hiChunk - _loChunk > _capacityChunks + 2 &&
             _loChunk < protect) {
             evictFront(now);
@@ -158,30 +175,10 @@ StreamUnit::ensure(std::int64_t c, sim::Tick now, bool fetch)
 }
 
 sim::Tick
-StreamUnit::readAt(std::int64_t k, sim::Tick consumer_now,
-                   std::int64_t tap_distance)
+StreamUnit::readMiss(std::int64_t k, sim::Tick consumer_now,
+                     std::int64_t tap_distance)
 {
-    DISTDA_ASSERT(_params.hasLoads, "readAt on a store-only stream");
     const std::int64_t eff_k = k - tap_distance;
-
-    // Steady-state fast path: a same-cluster in-window read whose lead
-    // is far enough behind the fill FSM that ensure() and the
-    // lookahead loop below are provably no-ops. Everything observable
-    // — stats, _leadK, the returned tick — matches the general path
-    // exactly; only the skipped work is work that would do nothing.
-    if (_sameCluster && tap_distance <= _maxTapDistance &&
-        eff_k >= _winLoK && eff_k < _winHiK && k < _fastLeadLimitK &&
-        _leadK < _fastLeadLimitK) {
-        if (k > _leadK)
-            _leadK = k;
-        _stats->intraBytes += _params.elemBytes;
-        _stats->bufferAccesses += 1.0;
-        const sim::Tick ready =
-            _window[static_cast<std::size_t>(chunkOf(eff_k) - _loChunk)]
-                .ready;
-        return ready > consumer_now ? ready : consumer_now;
-    }
-
     const std::int64_t c = chunkOf(eff_k);
 
     _maxTapDistance = std::max(_maxTapDistance, tap_distance);
@@ -193,14 +190,8 @@ StreamUnit::readAt(std::int64_t k, sim::Tick consumer_now,
     // window forward past chunks no tap still needs (this is what
     // decouples the partition from memory latency).
     const std::int64_t lead_c = chunkOf(_leadK);
-    const std::int64_t lookahead =
-        std::max<std::int64_t>(_capacityChunks / 2, 1);
-    const std::uint64_t total = std::max<std::uint64_t>(
-        _params.totalElems, 1);
-    const std::int64_t last_c =
-        chunkOf(static_cast<std::int64_t>(total) - 1);
     const std::int64_t protect = chunkOf(_leadK - _maxTapDistance);
-    while (_hiChunk <= std::min(lead_c + lookahead, last_c)) {
+    while (_hiChunk <= std::min(lead_c + _lookahead, _lastChunk)) {
         if (_hiChunk - _loChunk >= _capacityChunks) {
             if (_loChunk < protect)
                 evictFront(consumer_now);
@@ -309,17 +300,14 @@ StreamUnit::flush(sim::Tick now)
 void
 StreamUnit::rewind(sim::Tick now)
 {
-    const std::uint64_t total = std::max<std::uint64_t>(
-        _params.totalElems, 1);
     const std::int64_t first_c = chunkOf(-_maxTapDistance);
-    const std::int64_t last_c =
-        chunkOf(static_cast<std::int64_t>(total) - 1);
-    const bool fully_resident =
-        !_window.empty() && _loChunk <= first_c && _hiChunk > last_c;
+    const bool fully_resident = _loChunk != _hiChunk &&
+                                _loChunk <= first_c &&
+                                _hiChunk > _lastChunk;
     if (!fully_resident) {
         flush(now);
-        _window.clear();
         _loChunk = _hiChunk = 0;
+        _ringHead = 0;
         updateFastBounds();
     }
     _leadK = 0;

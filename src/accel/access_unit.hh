@@ -24,10 +24,11 @@
 #define DISTDA_ACCEL_ACCESS_UNIT_HH
 
 #include <cstdint>
-#include <deque>
+#include <vector>
 
 #include "src/compiler/dfg.hh"
 #include "src/mem/hierarchy.hh"
+#include "src/sim/logging.hh"
 #include "src/sim/ticks.hh"
 
 namespace distda::accel
@@ -130,9 +131,31 @@ class StreamUnit
      * Read element for iteration @p k through a tap @p tap_distance
      * behind the lead tap. Returns the tick the value reaches the
      * consumer (>= @p consumer_now).
+     *
+     * Inline steady-state fast path: a same-cluster in-window read
+     * whose lead is far enough behind the fill FSM that ensure() and
+     * the lookahead loop of readMiss() are provably no-ops.
+     * Everything observable — stats, _leadK, the returned tick —
+     * matches the general path exactly; only work that would do
+     * nothing is skipped.
      */
-    sim::Tick readAt(std::int64_t k, sim::Tick consumer_now,
-                     std::int64_t tap_distance);
+    sim::Tick
+    readAt(std::int64_t k, sim::Tick consumer_now,
+           std::int64_t tap_distance)
+    {
+        DISTDA_ASSERT(_params.hasLoads, "readAt on a store-only stream");
+        const std::int64_t eff_k = k - tap_distance;
+        if (!(_sameCluster && tap_distance <= _maxTapDistance &&
+              eff_k >= _winLoK && eff_k < _winHiK &&
+              k < _fastLeadLimitK && _leadK < _fastLeadLimitK))
+            return readMiss(k, consumer_now, tap_distance);
+        if (k > _leadK)
+            _leadK = k;
+        _stats->intraBytes += _params.elemBytes;
+        _stats->bufferAccesses += 1.0;
+        const sim::Tick ready = chunk(chunkOf(eff_k)).ready;
+        return ready > consumer_now ? ready : consumer_now;
+    }
 
     /** Write through a tap; marks the chunk dirty for the drain FSM. */
     sim::Tick writeAt(std::int64_t k, sim::Tick now,
@@ -160,12 +183,15 @@ class StreamUnit
     {
         sim::Tick ready = 0;
         bool dirty = false;
-        bool fetched = false;
     };
 
+    /** Chunk holding element @p k: floor(k / _elemsPerFetch). */
     std::int64_t
     chunkOf(std::int64_t k) const
     {
+        // An arithmetic shift floors negative k too.
+        if (_fetchShift >= 0)
+            return k >> _fetchShift;
         return k >= 0 ? k / _elemsPerFetch
                       : (k - _elemsPerFetch + 1) / _elemsPerFetch;
     }
@@ -177,6 +203,10 @@ class StreamUnit
             static_cast<std::int64_t>(_params.base) +
             c * _elemsPerFetch * _params.strideBytes);
     }
+
+    /** readAt() outside the fast path: the general read. */
+    sim::Tick readMiss(std::int64_t k, sim::Tick consumer_now,
+                       std::int64_t tap_distance);
 
     /** Make chunk @p c resident (fetching when loads need data). */
     void ensure(std::int64_t c, sim::Tick now, bool fetch);
@@ -193,9 +223,12 @@ class StreamUnit
      */
     void updateFastBounds();
 
-    Chunk &chunk(std::int64_t c)
+    /** Resident chunk @p c, in [_loChunk, _hiChunk). */
+    Chunk &
+    chunk(std::int64_t c)
     {
-        return _window[static_cast<std::size_t>(c - _loChunk)];
+        return _ring[(_ringHead + static_cast<std::size_t>(c - _loChunk)) &
+                     (_ring.size() - 1)];
     }
 
     StreamParams _params;
@@ -207,16 +240,25 @@ class StreamUnit
     stats::Distribution *_fillDist;
 
     std::int64_t _elemsPerFetch;
+    /** log2(_elemsPerFetch) when it is a power of two, else -1. */
+    int _fetchShift;
     std::int64_t _capacityChunks;
     std::uint32_t _fetchBytes;
 
-    std::deque<Chunk> _window;
+    /**
+     * The window [_loChunk, _hiChunk) as a ring: chunk _loChunk sits
+     * at _ring[_ringHead]. The size is zero or a power of two and
+     * doubles when the window outgrows it; an empty window is
+     * _loChunk == _hiChunk.
+     */
+    std::vector<Chunk> _ring;
+    std::size_t _ringHead = 0;
     std::int64_t _loChunk = 0;
     std::int64_t _hiChunk = 0;
     std::int64_t _leadK = 0;
     std::int64_t _maxTapDistance = 0;
     sim::Tick _fsmNow = 0;
-    std::deque<sim::Tick> _drainDone;
+    std::vector<sim::Tick> _drainDone;
 
     // Steady-state fast-path state: the common sequential read is an
     // in-window hit that triggers neither ensure() nor the lookahead

@@ -51,7 +51,7 @@ carriedDistance(const AffinePattern &store_pat,
 }
 
 DependenceInfo
-classifyKernel(const Kernel &kernel)
+classifyKernel(const Kernel &kernel, const std::vector<int> &topo)
 {
     DependenceInfo info;
 
@@ -114,7 +114,7 @@ classifyKernel(const Kernel &kernel)
     // Dependent-load chain depth within one iteration (feeds the OoO
     // and software-prefetch models).
     std::vector<int> depth(kernel.nodes.size(), 0);
-    for (int id : kernel.topoOrder()) {
+    for (int id : topo) {
         const Node &n = kernel.node(id);
         int in_depth = 0;
         for (int in : n.valueInputs())

@@ -15,8 +15,16 @@
 namespace distda::compiler
 {
 
+/** Analyze @p kernel, whose topological order is @p topo. */
+DependenceInfo classifyKernel(const Kernel &kernel,
+                              const std::vector<int> &topo);
+
 /** Analyze @p kernel and classify it. */
-DependenceInfo classifyKernel(const Kernel &kernel);
+inline DependenceInfo
+classifyKernel(const Kernel &kernel)
+{
+    return classifyKernel(kernel, kernel.topoOrder());
+}
 
 /**
  * True when the set of nodes transitively feeding @p node (same

@@ -188,7 +188,9 @@ compileKernel(const Kernel &kernel, const CompileOptions &opts)
     plan.kernel = kernel;
     plan.options = opts;
     plan.fingerprint = planFingerprint(kernel, opts);
-    plan.dep = classifyKernel(kernel);
+    // One topological order serves every pass below.
+    const std::vector<int> topo = kernel.topoOrder();
+    plan.dep = classifyKernel(kernel, topo);
 
     const std::size_t n = kernel.nodes.size();
     UnionFind uf = buildGroups(kernel);
@@ -234,7 +236,7 @@ compileKernel(const Kernel &kernel, const CompileOptions &opts)
     // Renumber to dense partition ids in first-use order.
     std::map<int, int> dense;
     std::vector<int> node_part(n, -1);
-    for (int id : kernel.topoOrder()) {
+    for (int id : topo) {
         const int raw =
             vertex_part[static_cast<std::size_t>(
                 node_vertex[static_cast<std::size_t>(id)])];
@@ -248,7 +250,7 @@ compileKernel(const Kernel &kernel, const CompileOptions &opts)
     plan.partitions.resize(static_cast<std::size_t>(num_parts));
     for (int p = 0; p < num_parts; ++p)
         plan.partitions[static_cast<std::size_t>(p)].id = p;
-    for (int id : kernel.topoOrder()) {
+    for (int id : topo) {
         plan.partitions[static_cast<std::size_t>(
                             node_part[static_cast<std::size_t>(id)])]
             .nodes.push_back(id);
@@ -523,7 +525,7 @@ compileKernel(const Kernel &kernel, const CompileOptions &opts)
         };
 
         std::set<int> local(part.nodes.begin(), part.nodes.end());
-        for (int id : kernel.topoOrder()) {
+        for (int id : topo) {
             if (!local.count(id))
                 continue;
             const Node &node = kernel.node(id);
@@ -667,7 +669,7 @@ compileKernel(const Kernel &kernel, const CompileOptions &opts)
     {
         std::vector<int> level(n, 0);
         int max_level = 0;
-        for (int id : kernel.topoOrder()) {
+        for (int id : topo) {
             const Node &node = kernel.node(id);
             int lvl = 0;
             for (int in : node.valueInputs())

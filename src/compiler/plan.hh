@@ -47,6 +47,8 @@ struct DependenceInfo
      * chain, so it floors per-iteration time.
      */
     int carryChainCycles = 0;
+
+    bool operator==(const DependenceInfo &) const = default;
 };
 
 /** Vertical placement preference for a partition (§V-A-4). */

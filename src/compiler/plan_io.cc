@@ -8,7 +8,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 
+#include "src/compiler/classify.hh"
 #include "src/sim/logging.hh"
 #include "src/verify/verify.hh"
 
@@ -85,6 +87,17 @@ readI64(std::istringstream &in, const char *what)
     return v;
 }
 
+int
+readInt(std::istringstream &in, const char *what)
+{
+    const std::int64_t v = readI64(in, what);
+    if (v < std::numeric_limits<int>::min() ||
+        v > std::numeric_limits<int>::max())
+        fatal("plan text: integer field %s value %lld out of range", what,
+              static_cast<long long>(v));
+    return static_cast<int>(v);
+}
+
 std::uint64_t
 readU64(std::istringstream &in, const char *what)
 {
@@ -155,12 +168,12 @@ Node
 readNode(std::istringstream &in)
 {
     Node n;
-    n.id = static_cast<int>(readI64(in, "node id"));
+    n.id = readInt(in, "node id");
     std::string kind;
     in >> kind;
     n.kind = kindFromName(kind);
     n.bits = static_cast<std::uint32_t>(readU64(in, "bits"));
-    n.objId = static_cast<int>(readI64(in, "objId"));
+    n.objId = readInt(in, "objId");
     std::string dir, pat;
     in >> dir >> pat;
     if (dir != "L" && dir != "S")
@@ -178,20 +191,20 @@ readNode(std::istringstream &in)
     n.affine.paramCoeffs.resize(npc);
     for (std::uint64_t k = 0; k < npc; ++k)
         n.affine.paramCoeffs[k] = readI64(in, "paramCoeff");
-    n.addrInput = static_cast<int>(readI64(in, "addrInput"));
-    n.valueInput = static_cast<int>(readI64(in, "valueInput"));
-    n.predInput = static_cast<int>(readI64(in, "predInput"));
+    n.addrInput = readInt(in, "addrInput");
+    n.valueInput = readInt(in, "valueInput");
+    n.predInput = readInt(in, "predInput");
     n.elemIsFloat = readI64(in, "elemIsFloat") != 0;
     std::string op;
     in >> op;
     n.op = opFromName(op);
-    n.inputA = static_cast<int>(readI64(in, "inputA"));
-    n.inputB = static_cast<int>(readI64(in, "inputB"));
-    n.inputC = static_cast<int>(readI64(in, "inputC"));
-    n.paramIdx = static_cast<int>(readI64(in, "paramIdx"));
+    n.inputA = readInt(in, "inputA");
+    n.inputB = readInt(in, "inputB");
+    n.inputC = readInt(in, "inputC");
+    n.paramIdx = readInt(in, "paramIdx");
     n.imm = wordFromBits(readHex(in, "imm"));
     n.carryInit = wordFromBits(readHex(in, "carryInit"));
-    n.carryUpdate = static_cast<int>(readI64(in, "carryUpdate"));
+    n.carryUpdate = readInt(in, "carryUpdate");
     n.carryIsFloat = readI64(in, "carryIsFloat") != 0;
     n.name = readName(in, "node name");
     return n;
@@ -232,8 +245,7 @@ KernelLineReader::consume(const std::string &tok, std::istringstream &in)
         if (!_active)
             fatal("plan text: loop outside kernel");
         _pending.loop.staticExtent = readI64(in, "staticExtent");
-        _pending.loop.extentParam =
-            static_cast<int>(readI64(in, "extentParam"));
+        _pending.loop.extentParam = readInt(in, "extentParam");
         _pending.loop.name = readName(in, "loop name");
         return true;
     }
@@ -241,7 +253,7 @@ KernelLineReader::consume(const std::string &tok, std::istringstream &in)
         if (!_active)
             fatal("plan text: kobject outside kernel");
         MemObjectDecl o;
-        o.id = static_cast<int>(readI64(in, "kobject id"));
+        o.id = readInt(in, "kobject id");
         o.elemCount = readU64(in, "kobject count");
         o.elemBytes =
             static_cast<std::uint32_t>(readU64(in, "kobject bytes"));
@@ -265,8 +277,7 @@ KernelLineReader::consume(const std::string &tok, std::istringstream &in)
     if (tok == "result") {
         if (!_active)
             fatal("plan text: result outside kernel");
-        _pending.resultCarries.push_back(
-            static_cast<int>(readI64(in, "result node")));
+        _pending.resultCarries.push_back(readInt(in, "result node"));
         return true;
     }
     if (tok == "endkernel") {
@@ -288,6 +299,7 @@ namespace
 using planio::hexWord;
 using planio::readHex;
 using planio::readI64;
+using planio::readInt;
 using planio::readName;
 using planio::readU64;
 using planio::sanitizeName;
@@ -406,8 +418,8 @@ AccessorDef
 readAccessorLine(std::istringstream &in)
 {
     AccessorDef a;
-    a.node = static_cast<int>(readI64(in, "accessor node"));
-    a.objId = static_cast<int>(readI64(in, "accessor objId"));
+    a.node = readInt(in, "accessor node");
+    a.objId = readInt(in, "accessor objId");
     std::string dir, pat;
     in >> dir >> pat;
     if (dir != "L" && dir != "S")
@@ -428,10 +440,9 @@ readAccessorLine(std::istringstream &in)
     a.elemBytes =
         static_cast<std::uint32_t>(readU64(in, "accessor elemBytes"));
     a.elemIsFloat = readI64(in, "accessor elemIsFloat") != 0;
-    a.accessId = static_cast<int>(readI64(in, "accessor accessId"));
-    a.bufferSlot = static_cast<int>(readI64(in, "accessor bufferSlot"));
-    a.combinedWithSlot =
-        static_cast<int>(readI64(in, "accessor combinedWithSlot"));
+    a.accessId = readInt(in, "accessor accessId");
+    a.bufferSlot = readInt(in, "accessor bufferSlot");
+    a.combinedWithSlot = readInt(in, "accessor combinedWithSlot");
     a.combineDistance = readI64(in, "accessor combineDistance");
     return a;
 }
@@ -586,8 +597,7 @@ parsePlan(const std::string &text)
                 readI64(in, "enableCombining") != 0;
             plan.options.bufferBytes = static_cast<std::uint32_t>(
                 readU64(in, "bufferBytes"));
-            plan.options.channelCapacity =
-                static_cast<int>(readI64(in, "channelCapacity"));
+            plan.options.channelCapacity = readInt(in, "channelCapacity");
             plan.options.verifyPlans =
                 verifyModeFromName(readName(in, "verifyPlans"));
         } else if (tok == "dep") {
@@ -599,18 +609,14 @@ parsePlan(const std::string &text)
                 readI64(in, "hasCarriedMemDep") != 0;
             plan.dep.hasMemoryRecurrence =
                 readI64(in, "hasMemoryRecurrence") != 0;
-            plan.dep.loadChainDepth =
-                static_cast<int>(readI64(in, "loadChainDepth"));
-            plan.dep.carryChainCycles =
-                static_cast<int>(readI64(in, "carryChainCycles"));
+            plan.dep.loadChainDepth = readInt(in, "loadChainDepth");
+            plan.dep.carryChainCycles = readInt(in, "carryChainCycles");
         } else if (tok == "channel") {
             ChannelDef c;
-            c.id = static_cast<int>(readI64(in, "channel id"));
-            c.srcPartition =
-                static_cast<int>(readI64(in, "channel srcPartition"));
-            c.dstPartition =
-                static_cast<int>(readI64(in, "channel dstPartition"));
-            c.srcNode = static_cast<int>(readI64(in, "channel srcNode"));
+            c.id = readInt(in, "channel id");
+            c.srcPartition = readInt(in, "channel srcPartition");
+            c.dstPartition = readInt(in, "channel dstPartition");
+            c.srcNode = readInt(in, "channel srcNode");
             c.bits =
                 static_cast<std::uint32_t>(readU64(in, "channel bits"));
             c.control = readI64(in, "channel control") != 0;
@@ -619,21 +625,18 @@ parsePlan(const std::string &text)
             if (part)
                 fatal("plan artifact: nested partition");
             pending = Partition{};
-            pending.id = static_cast<int>(readI64(in, "partition id"));
-            pending.objId =
-                static_cast<int>(readI64(in, "partition objId"));
+            pending.id = readInt(in, "partition id");
+            pending.objId = readInt(in, "partition objId");
             pending.level =
                 placementFromName(readName(in, "partition level"));
-            pending.streamBuffers =
-                static_cast<int>(readI64(in, "streamBuffers"));
+            pending.streamBuffers = readInt(in, "streamBuffers");
             pending.swPrefetch =
                 readI64(in, "partition swPrefetch") != 0;
             const std::uint64_t nn = readU64(in, "partition node count");
             if (nn > 100000)
                 fatal("plan artifact: absurd partition node count");
             for (std::uint64_t i = 0; i < nn; ++i) {
-                pending.nodes.push_back(
-                    static_cast<int>(readI64(in, "partition node")));
+                pending.nodes.push_back(readInt(in, "partition node"));
             }
             part = &pending;
         } else if (tok == "inch" || tok == "outch") {
@@ -646,8 +649,7 @@ parsePlan(const std::string &text)
             if (nc > 100000)
                 fatal("plan artifact: absurd channel-list count");
             for (std::uint64_t i = 0; i < nc; ++i) {
-                dst.push_back(
-                    static_cast<int>(readI64(in, "channel-list id")));
+                dst.push_back(readInt(in, "channel-list id"));
             }
         } else if (tok == "accessor") {
             if (!part)
@@ -656,8 +658,7 @@ parsePlan(const std::string &text)
         } else if (tok == "program") {
             if (!part)
                 fatal("plan artifact: program outside partition");
-            part->program.numRegs =
-                static_cast<int>(readI64(in, "program numRegs"));
+            part->program.numRegs = readInt(in, "program numRegs");
             part->program.ivReg = readReg(in, "program ivReg");
         } else if (tok == "inst") {
             if (!part)
@@ -669,14 +670,12 @@ parsePlan(const std::string &text)
             inst.a = readReg(in, "inst a");
             inst.b = readReg(in, "inst b");
             inst.c = readReg(in, "inst c");
-            inst.slot = static_cast<std::int32_t>(
-                readI64(in, "inst slot"));
+            inst.slot = readInt(in, "inst slot");
             part->program.insts.push_back(inst);
         } else if (tok == "preg") {
             if (!part)
                 fatal("plan artifact: preg outside partition");
-            const int param =
-                static_cast<int>(readI64(in, "preg param"));
+            const int param = readInt(in, "preg param");
             part->program.paramRegs.emplace_back(
                 param, readReg(in, "preg reg"));
         } else if (tok == "creg") {
@@ -694,7 +693,7 @@ parsePlan(const std::string &text)
             cs.reg = readReg(in, "carry reg");
             cs.init = wordFromBits(readHex(in, "carry init"));
             cs.isFloat = readI64(in, "carry isFloat") != 0;
-            cs.node = static_cast<int>(readI64(in, "carry node"));
+            cs.node = readInt(in, "carry node");
             part->program.carries.push_back(cs);
         } else if (tok == "endpartition") {
             if (!part)
@@ -706,13 +705,11 @@ parsePlan(const std::string &text)
                 b = readI64(in, "mech bit") != 0;
         } else if (tok == "chars") {
             OffloadCharacteristics &ch = plan.characteristics;
-            ch.numPartitions =
-                static_cast<int>(readI64(in, "numPartitions"));
-            ch.maxInsts = static_cast<int>(readI64(in, "maxInsts"));
-            ch.dfgLevels = static_cast<int>(readI64(in, "dfgLevels"));
-            ch.dfgWidth = static_cast<int>(readI64(in, "dfgWidth"));
-            ch.maxInstBytes =
-                static_cast<int>(readI64(in, "maxInstBytes"));
+            ch.numPartitions = readInt(in, "numPartitions");
+            ch.maxInsts = readInt(in, "maxInsts");
+            ch.dfgLevels = readInt(in, "dfgLevels");
+            ch.dfgWidth = readInt(in, "dfgWidth");
+            ch.maxInstBytes = readInt(in, "maxInstBytes");
             ch.avgBuffers = readDouble(in, "avgBuffers");
             ch.commBytesPerIter = readDouble(in, "commBytesPerIter");
             saw_chars = true;
@@ -747,6 +744,10 @@ validatePlanArtifact(const OffloadPlan &plan)
         return strfmt("fingerprint mismatch: recorded %s, content %s",
                       plan.fingerprint.c_str(), fp.c_str());
     }
+    // Executors take the dependence info from the plan; like the
+    // fingerprint it is derived from the kernel, so it must match.
+    if (!(plan.dep == classifyKernel(plan.kernel)))
+        return "dependence info does not match the kernel";
     // Artifacts come from outside the program: verifier errors reject
     // them whatever the plan's own verify mode says; smells do not.
     const verify::Report report =

@@ -98,6 +98,8 @@ std::string sanitizeName(const std::string &name);
 
 std::string readName(std::istringstream &in, const char *what);
 std::int64_t readI64(std::istringstream &in, const char *what);
+/** readI64 for an `int` field: a value outside int is a parse error. */
+int readInt(std::istringstream &in, const char *what);
 std::uint64_t readU64(std::istringstream &in, const char *what);
 std::uint64_t readHex(std::istringstream &in, const char *what);
 

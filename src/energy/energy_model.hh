@@ -98,6 +98,24 @@ class Accountant
         return _perComponent[static_cast<std::size_t>(c)];
     }
 
+    /** The default per-event cost of @p c, in picojoules. */
+    double
+    perEventPj(Component c) const
+    {
+        return _perEvent[static_cast<std::size_t>(c)];
+    }
+
+    /**
+     * Store back a running total of @p c that a hot loop kept in a
+     * local: seeded from componentPj() and advanced by the same adds
+     * in the same order, it is bit-identical to charging each add.
+     */
+    void
+    setComponentPj(Component c, double pj)
+    {
+        _perComponent[static_cast<std::size_t>(c)] = pj;
+    }
+
     /** Total energy across all components, in picojoules. */
     double totalPj() const;
 

@@ -98,10 +98,14 @@ PartitionActor::PartitionActor(
                     : 0;
 
     _isCgra = config.kind == ActorKind::Cgra;
-    // Per-instruction energy weights (scale * 1.0 for a full pipeline
-    // pass, scale * 0.4 for a buffer-port op), hoisted out of the loop.
-    _fullInstWeight = config.instEnergyScale;
-    _portInstWeight = config.instEnergyScale * 0.4;
+    // Per-instruction energy (scale * 1.0 events for a full pipeline
+    // pass, scale * 0.4 for a buffer-port op), hoisted out of the loop
+    // as the same products Accountant::addEvents would form.
+    if (_acct) {
+        const double pj = _acct->perEventPj(config.energyComp);
+        _fullInstPj = pj * config.instEnergyScale;
+        _portInstPj = pj * (config.instEnergyScale * 0.4);
+    }
     _ivPtr = prog.ivReg != compiler::noReg ? &_regs[prog.ivReg]
                                            : nullptr;
     _exec.reserve(prog.insts.size());
@@ -206,13 +210,19 @@ PartitionActor::runPredecoded(std::int64_t max_iters)
     // energy (integer count x per-event cost). The compute-component
     // charge stays per-instruction because its port ops carry an
     // inexact 0.4 weight and batching would change the FP summation
-    // order (see DESIGN.md).
+    // order; it runs in a local seeded from the accountant instead, so
+    // the adds and their order are unchanged (see DESIGN.md). Nothing
+    // else charges the actor's component during a slice.
     double insts = 0.0, mem_ops = 0.0, buf_events = 0.0;
+    double inst_pj = _acct ? _acct->componentPj(_config.energyComp) : 0.0;
     const auto flush = [&] {
         _insts += insts;
         _memOps += mem_ops;
-        if (_acct && buf_events != 0.0)
-            _acct->addEvents(energy::Component::Buffer, buf_events);
+        if (_acct) {
+            _acct->setComponentPj(_config.energyComp, inst_pj);
+            if (buf_events != 0.0)
+                _acct->addEvents(energy::Component::Buffer, buf_events);
+        }
     };
 
     while (_iter < _config.trip) {
@@ -384,10 +394,7 @@ PartitionActor::runPredecoded(std::int64_t max_iters)
                       static_cast<int>(op.kind));
             }
             insts += 1.0;
-            if (_acct)
-                _acct->addEvents(_config.energyComp,
-                                 port_op ? _portInstWeight
-                                         : _fullInstWeight);
+            inst_pj += port_op ? _portInstPj : _fullInstPj;
             ++_pc;
         }
         _pc = 0;

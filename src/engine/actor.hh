@@ -171,8 +171,8 @@ class PartitionActor
     std::vector<ExecOp> _exec; ///< the program, one ExecOp per MicroInst
     compiler::Word *_ivPtr = nullptr; ///< induction register, if any
     compiler::Word _scratch{};        ///< sink for noReg destinations
-    double _fullInstWeight = 1.0;     ///< energy events per full inst
-    double _portInstWeight = 0.4;     ///< energy events per port op
+    double _fullInstPj = 0.0; ///< compute energy per full inst
+    double _portInstPj = 0.0; ///< compute energy per port op
     bool _isCgra = false;
     std::size_t _pc = 0;
     std::int64_t _iter = 0;

@@ -13,7 +13,6 @@
 #include <memory>
 #include <vector>
 
-#include "src/compiler/classify.hh"
 #include "src/compiler/dfg.hh"
 #include "src/compiler/plan.hh"
 #include "src/energy/energy_model.hh"
@@ -81,6 +80,46 @@ class HostExecutor
                       sim::Tick start_tick);
 
   private:
+    /** Kind of one op of the per-iteration stream. */
+    enum class OpKind : std::uint8_t
+    {
+        IndVar,  ///< value = iteration number
+        Carry,   ///< value = the carry's latched state
+        Compute, ///< value = evalOp(a, b, c)
+        Load,    ///< value = memory, walks the host hierarchy
+        Store,   ///< memory = value(b) when pred holds
+    };
+
+    /**
+     * One predecoded node of the per-iteration op stream, in
+     * topological order. Operands are indices into the run's value
+     * array; a missing operand reads a zero slot past the nodes.
+     * Param and constant nodes are not ops: their values are set once
+     * per run.
+     */
+    struct HostOp
+    {
+        OpKind kind = OpKind::Compute;
+        compiler::OpCode op = compiler::OpCode::Mov; ///< Compute only
+        bool affine = false;      ///< address = base + ivCoeff * it
+        bool elemIsFloat = false;
+        std::uint32_t bytes = 0;  ///< access width
+        int dst = 0;              ///< this node's value slot
+        int a = 0, b = 0, c = 0;  ///< operand slots (Load: a = addr)
+        int pred = -1;            ///< Store predicate slot, -1 = none
+        int objId = 0;
+        std::size_t level = 0;    ///< dependent-load depth (Load)
+        std::int64_t ivCoeff = 0;
+        std::size_t baseIdx = 0;  ///< affine base slot, folded per run
+    };
+
+    HostExecutor(const compiler::Kernel &kernel,
+                 const compiler::DependenceInfo &dep,
+                 const std::vector<int> &topo, mem::Hierarchy *hier,
+                 MemBackend *backend, energy::Accountant *acct,
+                 const HostParams &params,
+                 std::shared_ptr<const compiler::OffloadPlan> plan);
+
     /** Owned plan for the shared_ptr constructor; null when borrowed. */
     std::shared_ptr<const compiler::OffloadPlan> _planRef;
     const compiler::Kernel &_kernel;
@@ -88,8 +127,18 @@ class HostExecutor
     MemBackend *_backend;
     energy::Accountant *_acct;
     HostParams _params;
-    compiler::DependenceInfo _dep;
-    std::vector<int> _topo;
+
+    std::vector<HostOp> _ops;
+    /** Affine accesses' node ids, one per base slot. */
+    std::vector<int> _affineNodes;
+    /** (carry node, update node) pairs latched after each iteration. */
+    std::vector<std::pair<int, int>> _latches;
+    int _opsPerIter = 0;     ///< issued ops incl. loop overhead
+    int _memOpsPerIter = 0;  ///< access nodes, predicated or not
+    sim::Tick _computeTicks = 0;
+    double _mlp = 1.0;
+    std::size_t _levels = 1; ///< load-chain levels tracked
+    bool _memoryRecurrence = false;
 };
 
 } // namespace distda::engine

@@ -26,6 +26,7 @@ using compiler::Word;
 using compiler::planio::hexWord;
 using compiler::planio::readHex;
 using compiler::planio::readI64;
+using compiler::planio::readInt;
 using compiler::planio::readName;
 using compiler::planio::readU64;
 using compiler::planio::sanitizeName;
@@ -114,7 +115,7 @@ parseCase(const std::string &text)
             c.objects.push_back(std::move(o));
         } else if (tok == "invoke") {
             Invocation inv;
-            inv.kernel = static_cast<int>(readI64(in, "invoke kernel"));
+            inv.kernel = readInt(in, "invoke kernel");
             std::string kw;
             in >> kw;
             if (kw != "objs")
@@ -123,8 +124,7 @@ parseCase(const std::string &text)
             if (nobjs > 1024)
                 fatal("repro: absurd invoke obj count");
             for (std::uint64_t i = 0; i < nobjs; ++i) {
-                inv.objects.push_back(
-                    static_cast<int>(readI64(in, "invoke obj")));
+                inv.objects.push_back(readInt(in, "invoke obj"));
             }
             in >> kw;
             if (kw != "params")

@@ -1,7 +1,6 @@
 #include "src/mem/cache.hh"
 
 #include <algorithm>
-#include <functional>
 
 #include "src/sim/logging.hh"
 #include "src/sim/probe.hh"
@@ -12,6 +11,8 @@ namespace distda::mem
 namespace
 {
 constexpr std::size_t strideTableEntries = 16;
+static_assert((strideTableEntries & (strideTableEntries - 1)) == 0,
+              "the stride table is indexed with a mask");
 } // namespace
 
 Cache::Cache(const CacheParams &params, energy::Accountant *acct,
@@ -21,8 +22,10 @@ Cache::Cache(const CacheParams &params, energy::Accountant *acct,
       _numSets(params.sizeBytes / lineBytes /
                static_cast<std::uint64_t>(params.assoc)),
       _setMask((_numSets & (_numSets - 1)) == 0 ? _numSets - 1 : 0),
+      _assoc(static_cast<std::size_t>(params.assoc)),
       _tagLat(_clock.cyclesToTicks(params.latencyCycles)),
-      _lines(_numSets * static_cast<std::size_t>(params.assoc)),
+      _tags(_numSets * _assoc, 0), _lru(_numSets * _assoc, 0),
+      _flags(_numSets * _assoc, 0),
       _mshrFree(static_cast<std::size_t>(std::max(params.mshrs, 1)), 0),
       _strideTable(strideTableEntries)
 {
@@ -36,45 +39,62 @@ Cache::Cache(const CacheParams &params, energy::Accountant *acct,
 }
 
 std::size_t
-Cache::setIndex(Addr line_addr) const
+Cache::setBase(Addr line_addr) const
 {
     const Addr line = lineNum(line_addr);
+    std::size_t set;
     if (_params.setHash) {
         // Fibonacci hashing: high product bits mix every line bit, so
         // page-interleaved banks use all their sets.
         const Addr h = line * 0x9e3779b97f4a7c15ULL;
         const auto hi = static_cast<std::size_t>(h >> 32);
-        return _setMask ? hi & _setMask : hi % _numSets;
+        set = _setMask ? hi & _setMask : hi % _numSets;
+    } else {
+        // Power-of-two set counts (the common case) mask instead of
+        // dividing; identical index, no hardware divide per probe.
+        const auto l = static_cast<std::size_t>(line);
+        set = _setMask ? l & _setMask : l % _numSets;
     }
-    // Power-of-two set counts (the common case) mask instead of
-    // dividing; identical index, no hardware divide per probe.
-    const auto l = static_cast<std::size_t>(line);
-    return _setMask ? l & _setMask : l % _numSets;
+    return set * _assoc;
 }
 
-Cache::Line *
-Cache::findLine(Addr line_addr)
+std::size_t
+Cache::victimWay(std::size_t base) const
 {
-    const std::size_t set = setIndex(line_addr);
-    const Addr tag = lineNum(line_addr);
-    for (int w = 0; w < _params.assoc; ++w) {
-        Line &line = _lines[set * _params.assoc + w];
-        if (line.valid && line.tag == tag)
-            return &line;
+    std::size_t victim = base;
+    for (std::size_t w = base; w < base + _assoc; ++w) {
+        if (_tags[w] == 0)
+            return w;
+        if (_lru[w] < _lru[victim])
+            victim = w;
     }
-    return nullptr;
-}
-
-const Cache::Line *
-Cache::findLine(Addr line_addr) const
-{
-    return const_cast<Cache *>(this)->findLine(line_addr);
+    return victim;
 }
 
 bool
 Cache::contains(Addr addr) const
 {
-    return findLine(lineAlign(addr)) != nullptr;
+    const Addr line_addr = lineAlign(addr);
+    return findWay(setBase(line_addr), lineNum(line_addr) + 1) != noWay;
+}
+
+void
+Cache::replaceMshrRoot(sim::Tick done)
+{
+    // One sift-down from the root: the same min-heap as a pop followed
+    // by a push of @p done, which is never earlier than the old root.
+    sim::Tick *const heap = _mshrFree.data();
+    const std::size_t n = _mshrFree.size();
+    std::size_t i = 0;
+    for (std::size_t c = 1; c < n; c = 2 * i + 1) {
+        if (c + 1 < n && heap[c + 1] < heap[c])
+            ++c;
+        if (heap[c] >= done)
+            break;
+        heap[i] = heap[c];
+        i = c;
+    }
+    heap[i] = done;
 }
 
 CacheResult
@@ -85,46 +105,27 @@ Cache::accessLine(Addr line_addr, bool write, sim::Tick now)
         _acct->addEvents(_params.component, 1.0);
 
     // MRU filter: skip the set walk when the last-hit line matches.
-    const Addr tag = lineNum(line_addr);
-    Line *line = nullptr;
-    Line *victim = nullptr;
-    if (_mru && _mru->valid && _mru->tag == tag) {
-        line = _mru;
-    } else {
-        // One walk serves both lookups: find the tag, and remember the
-        // victim (first invalid way, else first-encountered LRU
-        // minimum) in case this is a miss.
-        Line *const set = &_lines[setIndex(line_addr) *
-                                  static_cast<std::size_t>(_params.assoc)];
-        bool invalid_victim = false;
-        for (int w = 0; w < _params.assoc; ++w) {
-            Line &l = set[w];
-            if (l.valid && l.tag == tag) {
-                line = &l;
-                break;
-            }
-            if (!l.valid) {
-                if (!invalid_victim) {
-                    victim = &l;
-                    invalid_victim = true;
-                }
-            } else if (!invalid_victim &&
-                       (!victim || l.lru < victim->lru)) {
-                victim = &l;
-            }
-        }
+    const Addr key = lineNum(line_addr) + 1;
+    std::size_t way = _mru;
+    std::size_t base = 0;
+    if (_tags[way] != key) {
+        base = setBase(line_addr);
+        way = findWay(base, key);
     }
 
-    if (line) {
+    if (way != noWay) {
         _hits += 1.0;
-        if (line->prefetched) {
+        std::uint8_t &flags = _flags[way];
+        if (flags & prefetchedFlag) {
             _prefetchHits += 1.0;
-            line->prefetched = false;
+            flags &= static_cast<std::uint8_t>(~prefetchedFlag);
         }
-        _mru = line;
-        line->lru = ++_lruTick;
-        if (write)
-            line->dirty = _params.writeback;
+        _mru = way;
+        _lru[way] = ++_lruTick;
+        if (write) {
+            flags = static_cast<std::uint8_t>(
+                (flags & ~dirtyFlag) | (_params.writeback ? dirtyFlag : 0));
+        }
         if (!write && _params.stridePrefetch)
             prefetch(line_addr, now);
         return CacheResult{true, _tagLat};
@@ -132,18 +133,14 @@ Cache::accessLine(Addr line_addr, bool write, sim::Tick now)
 
     _misses += 1.0;
 
-    // Occupy the earliest-free MSHR; queue when all busy. _mshrFree is
-    // a min-heap on completion time, so the earliest slot is the root
-    // rather than a linear scan over every slot.
-    std::pop_heap(_mshrFree.begin(), _mshrFree.end(),
-                  std::greater<sim::Tick>());
-    const sim::Tick start = std::max(now + _tagLat, _mshrFree.back());
-    const sim::Tick fill_lat = fillVictim(
-        victim, line_addr, write && _params.writeback, start, true);
+    // Occupy the earliest-free MSHR (the root of the _mshrFree
+    // min-heap); queue when all are busy.
+    const sim::Tick start = std::max(now + _tagLat, _mshrFree.front());
+    const sim::Tick fill_lat =
+        fillWay(victimWay(base), line_addr, write && _params.writeback,
+                start, true);
     const sim::Tick done = start + fill_lat;
-    _mshrFree.back() = done;
-    std::push_heap(_mshrFree.begin(), _mshrFree.end(),
-                   std::greater<sim::Tick>());
+    replaceMshrRoot(done);
 
     if (_probe) {
         _probe->span(_probeTrack, "miss", start, done);
@@ -158,44 +155,24 @@ Cache::accessLine(Addr line_addr, bool write, sim::Tick now)
 }
 
 sim::Tick
-Cache::fill(Addr line_addr, bool dirty, sim::Tick now, bool count_demand)
+Cache::fillWay(std::size_t way, Addr line_addr, bool dirty,
+               sim::Tick now, bool count_demand)
 {
-    const std::size_t set = setIndex(line_addr);
-
-    // Victim selection: invalid way first, then LRU.
-    Line *victim = nullptr;
-    for (int w = 0; w < _params.assoc; ++w) {
-        Line &line = _lines[set * _params.assoc + w];
-        if (!line.valid) {
-            victim = &line;
-            break;
-        }
-        if (!victim || line.lru < victim->lru)
-            victim = &line;
-    }
-
-    return fillVictim(victim, line_addr, dirty, now, count_demand);
-}
-
-sim::Tick
-Cache::fillVictim(Line *victim, Addr line_addr, bool dirty, sim::Tick now,
-                  bool count_demand)
-{
-    if (victim->valid && victim->dirty) {
+    // Invalid ways hold no flags, so only a valid dirty victim drains.
+    if (_flags[way] & dirtyFlag) {
         _writebacks += 1.0;
         // Writeback is off the critical path; latency discarded.
-        _downstream(victim->tag * lineBytes, true, now);
+        _downstream((_tags[way] - 1) * lineBytes, true, now);
     }
 
     const sim::Tick miss_lat = _downstream(line_addr, false, now);
 
-    victim->tag = lineNum(line_addr);
-    victim->valid = true;
-    victim->dirty = dirty;
-    victim->prefetched = !count_demand;
-    victim->lru = ++_lruTick;
+    _tags[way] = lineNum(line_addr) + 1;
+    _flags[way] = static_cast<std::uint8_t>(
+        (dirty ? dirtyFlag : 0) | (count_demand ? 0 : prefetchedFlag));
+    _lru[way] = ++_lruTick;
     if (count_demand)
-        _mru = victim;
+        _mru = way;
 
     return miss_lat;
 }
@@ -205,7 +182,7 @@ Cache::prefetch(Addr line_addr, sim::Tick now)
 {
     const std::uint64_t region = line_addr >> 12;
     const auto line = static_cast<std::int64_t>(lineNum(line_addr));
-    StrideEntry &entry = _strideTable[region % _strideTable.size()];
+    StrideEntry &entry = _strideTable[region & (strideTableEntries - 1)];
 
     if (entry.region != region) {
         entry.region = region;
@@ -235,26 +212,27 @@ Cache::prefetch(Addr line_addr, sim::Tick now)
         if (target < 0)
             continue;
         const Addr target_addr = static_cast<Addr>(target) * lineBytes;
-        if (findLine(target_addr))
+        const std::size_t base = setBase(target_addr);
+        if (findWay(base, lineNum(target_addr) + 1) != noWay)
             continue;
         _prefetches += 1.0;
         if (_acct)
             _acct->addEvents(_params.component, 1.0);
         // Prefetch fills are off the demand critical path.
-        fill(target_addr, false, now, false);
+        fillWay(victimWay(base), target_addr, false, now, false);
     }
 }
 
 void
 Cache::flush(sim::Tick now)
 {
-    for (Line &line : _lines) {
-        if (line.valid && line.dirty) {
+    for (std::size_t w = 0; w < _tags.size(); ++w) {
+        if (_flags[w] & dirtyFlag) {
             _writebacks += 1.0;
-            _downstream(line.tag * lineBytes, true, now);
+            _downstream((_tags[w] - 1) * lineBytes, true, now);
         }
-        line.valid = false;
-        line.dirty = false;
+        _tags[w] = 0;
+        _flags[w] = 0;
     }
 }
 
@@ -273,12 +251,13 @@ Cache::exportStats(stats::Group &group) const
 void
 Cache::reset()
 {
-    for (Line &line : _lines)
-        line = Line{};
+    std::fill(_tags.begin(), _tags.end(), 0);
+    std::fill(_lru.begin(), _lru.end(), 0);
+    std::fill(_flags.begin(), _flags.end(), 0);
     std::fill(_mshrFree.begin(), _mshrFree.end(), 0);
     for (StrideEntry &e : _strideTable)
         e = StrideEntry{};
-    _mru = nullptr;
+    _mru = 0;
     _lruTick = 0;
     _accesses = _hits = _misses = _writebacks = 0;
     _prefetches = _prefetchHits = 0;

@@ -174,30 +174,43 @@ class Cache
     }
 
   private:
-    struct Line
-    {
-        Addr tag = 0;
-        bool valid = false;
-        bool dirty = false;
-        bool prefetched = false; ///< filled by the prefetcher, no
-                                 ///< demand hit yet
-        std::uint64_t lru = 0;
-    };
+    /** Flag bits of one way (_flags); invalid ways hold 0. */
+    static constexpr std::uint8_t dirtyFlag = 1;
+    /** Filled by the prefetcher, no demand hit yet. */
+    static constexpr std::uint8_t prefetchedFlag = 2;
+    /** findWay() result when the line is not resident. */
+    static constexpr std::size_t noWay = ~std::size_t{0};
 
     /** Access one line; returns (hit, latency). */
     CacheResult accessLine(Addr line_addr, bool write, sim::Tick now);
 
-    /** Fill @p line_addr, evicting as needed; returns fill latency. */
-    sim::Tick fill(Addr line_addr, bool dirty, sim::Tick now,
-                   bool count_demand);
+    /** Fill @p line_addr into @p way, writing back a dirty victim;
+     *  returns the fill latency. */
+    sim::Tick fillWay(std::size_t way, Addr line_addr, bool dirty,
+                      sim::Tick now, bool count_demand);
 
-    /** Fill into a pre-selected victim way (no victim scan). */
-    sim::Tick fillVictim(Line *victim, Addr line_addr, bool dirty,
-                         sim::Tick now, bool count_demand);
+    /** Index of the first way of @p line_addr's set. */
+    std::size_t setBase(Addr line_addr) const;
 
-    std::size_t setIndex(Addr line_addr) const;
-    Line *findLine(Addr line_addr);
-    const Line *findLine(Addr line_addr) const;
+    /** Way holding tag @p key in the set at @p base, else noWay. */
+    std::size_t
+    findWay(std::size_t base, Addr key) const
+    {
+        const Addr *const tags = _tags.data() + base;
+        for (std::size_t w = 0; w < _assoc; ++w) {
+            if (tags[w] == key)
+                return base + w;
+        }
+        return noWay;
+    }
+
+    /** Victim of the set at @p base: first invalid way, else the
+     *  first way holding the LRU minimum. */
+    std::size_t victimWay(std::size_t base) const;
+
+    /** Hand the earliest-free MSHR (the heap root) to a miss that
+     *  completes at @p done. */
+    void replaceMshrRoot(sim::Tick done);
 
     /** Train the stride prefetcher and issue prefetch fills. */
     void prefetch(Addr line_addr, sim::Tick now);
@@ -209,18 +222,27 @@ class Cache
     std::size_t _numSets;
     /** _numSets - 1 when the set count is a power of two, else 0. */
     std::size_t _setMask;
+    std::size_t _assoc;
     sim::Tick _tagLat; ///< tag/hit latency in ticks, fixed per cache
-    std::vector<Line> _lines;          ///< numSets * assoc entries
-    std::vector<sim::Tick> _mshrFree;  ///< next-free ticks, min-heap
+    /**
+     * The tag store, structure-of-arrays with numSets * assoc entries
+     * each, way w of set s at s * assoc + w. A tag is the line number
+     * plus one, so 0 marks an invalid way and zero-filled storage is
+     * an empty cache; a set probe compares one dense row of tags.
+     */
+    std::vector<Addr> _tags;
+    std::vector<std::uint64_t> _lru;  ///< last-touch stamp per way
+    std::vector<std::uint8_t> _flags; ///< dirtyFlag | prefetchedFlag
+    std::vector<sim::Tick> _mshrFree; ///< next-free ticks, min-heap
     std::uint64_t _lruTick = 0;
     /**
-     * One-entry MRU filter in front of the tag walk: sequential
+     * One-entry MRU filter in front of the set walk: sequential
      * streams hit the same line repeatedly, so most lookups resolve
-     * with one compare. Tags are full line numbers (unique across the
-     * cache) and _lines never reallocates, so a stale pointer
-     * self-invalidates via the valid+tag check.
+     * with one compare. Tags are unique across the cache, so a stale
+     * index self-invalidates through the tag compare (an invalid or
+     * refilled way no longer holds the key).
      */
-    Line *_mru = nullptr;
+    std::size_t _mru = 0;
 
     struct StrideEntry
     {

@@ -1,6 +1,7 @@
 #include "src/mem/nuca_l3.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "src/sim/logging.hh"
 #include "src/sim/probe.hh"
@@ -10,11 +11,19 @@ namespace distda::mem
 
 NucaL3::NucaL3(const NucaParams &params, noc::Mesh *mesh, Dram *dram,
                energy::Accountant *acct)
-    : _params(params), _mesh(mesh), _dram(dram)
+    : _params(params), _pageShift(std::countr_zero(params.pageBytes)),
+      _clusterMask(static_cast<std::uint64_t>(params.clusters) - 1),
+      _mesh(mesh), _dram(dram)
 {
     if (params.clusters != mesh->numNodes())
         fatal("NUCA clusters (%d) must match mesh nodes (%d)",
               params.clusters, mesh->numNodes());
+    if (!std::has_single_bit(static_cast<unsigned>(params.clusters)) ||
+        !std::has_single_bit(params.pageBytes))
+        fatal("NUCA clusters (%d) and page bytes (%llu) must be powers "
+              "of two",
+              params.clusters,
+              static_cast<unsigned long long>(params.pageBytes));
     for (int c = 0; c < params.clusters; ++c) {
         CacheParams bp;
         bp.name = "l3c" + std::to_string(c);
@@ -51,8 +60,7 @@ NucaL3::clusterOf(Addr addr) const
                 return r.cluster;
         }
     }
-    return static_cast<int>((addr / _params.pageBytes) %
-                            static_cast<std::uint64_t>(_params.clusters));
+    return static_cast<int>((addr >> _pageShift) & _clusterMask);
 }
 
 void

@@ -35,7 +35,9 @@ struct NucaParams
     int mshrs = 64;
     std::uint64_t clockHz = 2'000'000'000ULL;
     /** Interleave granule: coarse enough that an inner-loop
-     *  window (a few stencil rows) anchors in one cluster. */
+     *  window (a few stencil rows) anchors in one cluster. Cluster
+     *  count and page size must be powers of two: the home cluster is
+     *  a shift and a mask. */
     std::uint64_t pageBytes = 16384;
 };
 
@@ -101,6 +103,8 @@ class NucaL3
     };
 
     NucaParams _params;
+    int _pageShift;             ///< log2(pageBytes)
+    std::uint64_t _clusterMask; ///< clusters - 1
     noc::Mesh *_mesh;
     Dram *_dram;
     std::vector<std::unique_ptr<Cache>> _banks;

@@ -1,6 +1,7 @@
 #include "src/noc/mesh.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cstdlib>
 #include <set>
 
@@ -30,6 +31,21 @@ Mesh::Mesh(const MeshParams &params, energy::Accountant *acct)
         fatal("mesh dimensions must be positive");
     if (params.hostNode < 0 || params.hostNode >= numNodes())
         fatal("host node %d outside mesh", params.hostNode);
+    if (!std::has_single_bit(params.linkBytes) ||
+        !std::has_single_bit(params.flitBytes))
+        fatal("mesh link (%u) and flit (%u) bytes must be powers of two",
+              params.linkBytes, params.flitBytes);
+    _linkShift = std::countr_zero(params.linkBytes);
+    _flitShift = std::countr_zero(params.flitBytes);
+    const int n = numNodes();
+    _hops.resize(static_cast<std::size_t>(n) * static_cast<std::size_t>(n));
+    for (int src = 0; src < n; ++src) {
+        for (int dst = 0; dst < n; ++dst) {
+            _hops[static_cast<std::size_t>(src * n + dst)] =
+                std::abs(nodeX(src) - nodeX(dst)) +
+                std::abs(nodeY(src) - nodeY(dst));
+        }
+    }
 }
 
 void
@@ -97,7 +113,7 @@ Mesh::multicast(int src, const std::vector<int> &dsts, std::uint32_t bytes,
     _packets[idx] += 1.0;
 
     const double flits = static_cast<double>(
-        (bytes + _params.flitBytes - 1) / _params.flitBytes);
+        (bytes + _params.flitBytes - 1) >> _flitShift);
     _totalHopFlits += flits * static_cast<double>(links.size());
     if (_acct) {
         _acct->addEvents(energy::Component::Noc,
@@ -105,7 +121,7 @@ Mesh::multicast(int src, const std::vector<int> &dsts, std::uint32_t bytes,
     }
 
     const sim::Cycles ser_cycles =
-        (bytes + _params.linkBytes - 1) / _params.linkBytes;
+        (bytes + _params.linkBytes - 1) >> _linkShift;
     const sim::Tick latency = _clock.cyclesToTicks(
         static_cast<sim::Cycles>(max_hops) * _params.hopCycles +
         std::max<sim::Cycles>(ser_cycles, 1));

@@ -69,6 +69,10 @@ struct TransferResult
  * The mesh NoC. Transfers are modeled as cut-through packets: latency =
  * hops * hopCycles + serialization, plus queueing when routers along the
  * path are busy. Bytes and energy are charged per traffic class.
+ *
+ * Link and flit widths must be powers of two (the constructor rejects
+ * others): packet serialization and flit counts are shifts, and hop
+ * counts come from a table, so a transfer does no division.
  */
 class Mesh
 {
@@ -79,15 +83,13 @@ class Mesh
     int numNodes() const { return _params.cols * _params.rows; }
     int hostNode() const { return _params.hostNode; }
 
-    /** XY-routing hop count between two nodes. */
+    /** XY-routing hop count between two nodes (Manhattan distance). */
     int
     hops(int src, int dst) const
     {
         DISTDA_ASSERT(src >= 0 && src < numNodes(), "src node %d", src);
         DISTDA_ASSERT(dst >= 0 && dst < numNodes(), "dst node %d", dst);
-        const int dx = nodeX(src) - nodeX(dst);
-        const int dy = nodeY(src) - nodeY(dst);
-        return (dx < 0 ? -dx : dx) + (dy < 0 ? -dy : dy);
+        return _hops[static_cast<std::size_t>(src * numNodes() + dst)];
     }
 
     /**
@@ -110,7 +112,7 @@ class Mesh
         // Serialization: the packet occupies each traversed link for
         // ceil(bytes / linkBytes) NoC cycles.
         const sim::Cycles ser_cycles =
-            (bytes + _params.linkBytes - 1) / _params.linkBytes;
+            (bytes + _params.linkBytes - 1) >> _linkShift;
         const sim::Tick ser = _clock.cyclesToTicks(
             std::max<sim::Cycles>(ser_cycles, 1));
 
@@ -131,9 +133,8 @@ class Mesh
         src_busy = start + ser;
         dst_busy = start + ser;
 
-        const double flits =
-            static_cast<double>((bytes + _params.flitBytes - 1) /
-                                _params.flitBytes);
+        const double flits = static_cast<double>(
+            (bytes + _params.flitBytes - 1) >> _flitShift);
         _totalHopFlits += flits * nhops;
         if (_acct)
             _acct->addEvents(energy::Component::Noc, flits * nhops);
@@ -177,6 +178,7 @@ class Mesh
     void setProbe(sim::Probe *probe);
 
   private:
+    /** Node coordinates, for the hop table and multicast routes. */
     int nodeX(int node) const { return node % _params.cols; }
     int nodeY(int node) const { return node / _params.cols; }
 
@@ -188,6 +190,11 @@ class Mesh
     MeshParams _params;
     energy::Accountant *_acct;
     sim::ClockDomain _clock;
+    /** log2 of the power-of-two link and flit widths. */
+    int _linkShift = 0;
+    int _flitShift = 0;
+    /** hops(src, dst) at src * numNodes() + dst, built once. */
+    std::vector<int> _hops;
     std::vector<sim::Tick> _routerBusyUntil;
     std::array<double,
                static_cast<std::size_t>(TrafficClass::NumClasses)>

@@ -22,12 +22,14 @@ namespace
 struct PortLog
 {
     std::vector<std::pair<mem::Addr, bool>> calls;
+    std::vector<sim::Tick> issued; ///< issue tick of each call
     sim::Tick latency = 10000;
 
     sim::Tick
-    operator()(mem::Addr a, std::uint32_t, bool w, sim::Tick)
+    operator()(mem::Addr a, std::uint32_t, bool w, sim::Tick t)
     {
         calls.push_back({a, w});
+        issued.push_back(t);
         return latency;
     }
 
@@ -169,41 +171,87 @@ TEST(StreamUnit, FastPathMatchesSlowPathStatsAndFetches)
     // Steady-state sequential reads take the precomputed-bounds fast
     // path; interleaved rereads of already-consumed elements do too.
     // Neither may change what reaches memory or the counters, relative
-    // to a unit driven only by the plain sequential scan.
-    PortLog fast_port, ref_port;
-    AccessStats fast_stats, ref_stats;
-    StreamUnit fast(denseLoad(256), fast_port.fn(), &sharedMesh(),
-                    &fast_stats);
-    StreamUnit ref(denseLoad(256), ref_port.fn(), &sharedMesh(),
-                   &ref_stats);
+    // to a unit driven only by the plain sequential scan. Strides of
+    // 12 and 20 bytes put 5 and 3 elements in a fetch: chunk indexing
+    // divides instead of shifting.
+    for (const auto &[stride, per_fetch] :
+         {std::pair<std::int64_t, std::int64_t>{8, 8}, {12, 5}, {20, 3}}) {
+        SCOPED_TRACE(stride);
+        StreamParams p = denseLoad(256);
+        p.strideBytes = stride;
+        PortLog fast_port, ref_port;
+        AccessStats fast_stats, ref_stats;
+        StreamUnit fast(p, fast_port.fn(), &sharedMesh(), &fast_stats);
+        StreamUnit ref(p, ref_port.fn(), &sharedMesh(), &ref_stats);
+        ASSERT_EQ(fast.elemsPerFetch(), per_fetch);
 
-    sim::Tick now = 0;
-    std::int64_t rereads = 0;
-    sim::Tick prev = 0;
-    for (std::int64_t k = 0; k < 256; ++k) {
-        now = fast.readAt(k, now, 0);
-        EXPECT_GE(now, prev); // ready times stay monotonic
-        prev = now;
-        if (k > 0 && k % 16 == 0) {
-            // In-window reread behind the lead: fast-path candidate.
-            now = fast.readAt(k, now, 4);
-            ++rereads;
+        sim::Tick now = 0;
+        std::int64_t rereads = 0;
+        sim::Tick prev = 0;
+        for (std::int64_t k = 0; k < 256; ++k) {
+            now = fast.readAt(k, now, 0);
+            EXPECT_GE(now, prev); // ready times stay monotonic
+            prev = now;
+            if (k > 0 && k % 16 == 0) {
+                // In-window reread behind the lead: fast-path
+                // candidate.
+                now = fast.readAt(k, now, 4);
+                ++rereads;
+            }
         }
-    }
-    sim::Tick ref_now = 0;
-    for (std::int64_t k = 0; k < 256; ++k)
-        ref_now = ref.readAt(k, ref_now, 0);
+        sim::Tick ref_now = 0;
+        for (std::int64_t k = 0; k < 256; ++k)
+            ref_now = ref.readAt(k, ref_now, 0);
 
-    // Recently-read data is buffered: no fetch may be reissued.
-    EXPECT_DOUBLE_EQ(fast_port.fetches(), ref_port.fetches());
-    EXPECT_DOUBLE_EQ(fast_stats.daBytes, ref_stats.daBytes);
-    // Every read, fast or slow, counts buffer traffic.
-    EXPECT_DOUBLE_EQ(fast_stats.intraBytes,
-                     ref_stats.intraBytes +
-                         static_cast<double>(rereads) * 8.0);
-    EXPECT_DOUBLE_EQ(fast_stats.bufferAccesses,
-                     ref_stats.bufferAccesses +
-                         static_cast<double>(rereads));
+        // Recently-read data is buffered: no fetch may be reissued.
+        EXPECT_EQ(fast_port.calls, ref_port.calls);
+        EXPECT_DOUBLE_EQ(fast_stats.daBytes, ref_stats.daBytes);
+        // Every read, fast or slow, counts buffer traffic.
+        EXPECT_DOUBLE_EQ(fast_stats.intraBytes,
+                         ref_stats.intraBytes +
+                             static_cast<double>(rereads) * 8.0);
+        EXPECT_DOUBLE_EQ(fast_stats.bufferAccesses,
+                         ref_stats.bufferAccesses +
+                             static_cast<double>(rereads));
+    }
+}
+
+TEST(StreamUnit, RingWrapsAndRegrowsUnderFrontGrowth)
+{
+    // Consumer time stays 0, so every read returns the fill tick of
+    // its element's chunk: a ring slot mapped to the wrong chunk shows
+    // up as another chunk's (distinct) fill tick.
+    PortLog port;
+    AccessStats stats;
+    StreamUnit s(denseLoad(4096), port.fn(), &sharedMesh(), &stats);
+    // Reads element k - tap at lead k; returns whether the tick it
+    // reports is the last fill of that element's chunk.
+    const auto read_matches = [&](std::int64_t k, std::int64_t tap) {
+        const sim::Tick got = s.readAt(k, 0, tap);
+        const std::int64_t e = k - tap;
+        const std::int64_t c = e >= 0 ? e / 8 : -((-e + 7) / 8);
+        const auto a = static_cast<mem::Addr>(0x100000 + c * 64);
+        for (std::size_t i = port.calls.size(); i-- > 0;) {
+            if (port.calls[i] == std::make_pair(a, false))
+                return got == port.issued[i] + port.latency;
+        }
+        return false;
+    };
+
+    // A trailing tap 12 elements back starts the window at chunk -2.
+    ASSERT_TRUE(read_matches(0, 12));
+    // 2000 sequential reads slide a ~66-chunk window over 250 chunks:
+    // the ring grows to 128 slots and wraps around.
+    for (std::int64_t k = 0; k < 2000; ++k)
+        ASSERT_TRUE(read_matches(k, 0)) << k;
+    ASSERT_LT(s.residentChunks(), 128);
+
+    // A tap 999 elements back grows the window at its front, far past
+    // 128 chunks: the ring doubles while the head moves backwards.
+    ASSERT_TRUE(read_matches(1999, 999));
+    EXPECT_GT(s.residentChunks(), 128);
+    for (std::int64_t k = 1000; k < 2000; ++k)
+        ASSERT_TRUE(read_matches(1999, 1999 - k)) << k;
 }
 
 TEST(StreamUnit, StoreOnlyWriteAllocatesWithoutFetch)

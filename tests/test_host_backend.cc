@@ -221,3 +221,72 @@ TEST(HostExec, ParamExtentControlsTrip)
     const auto res = exec.run({arr}, {t}, 0);
     EXPECT_DOUBLE_EQ(res.results[0].second.f, 77.0);
 }
+
+TEST(HostExec, ParamTermsShiftAffineAccessesPerRun)
+{
+    // B[i] = A[2 + 3*off + i]: the param term of the load's base is
+    // folded per run, so a second run with another offset must move.
+    KernelBuilder kb("hx_shift");
+    const int a = kb.object("A", 256, 8, false);
+    const int b = kb.object("B", 64, 8, false);
+    const int off = kb.param("off");
+    kb.loopStatic(64);
+    kb.store(b, kb.affine(0, 1),
+             kb.load(a, kb.affineP(2, 1, {{off, 3}})));
+    const auto kernel = kb.build();
+
+    driver::SystemParams sp;
+    driver::System sys(sp);
+    auto arr_a = sys.alloc("A", 256, 8, false);
+    auto arr_b = sys.alloc("B", 64, 8, false);
+    for (std::uint64_t i = 0; i < arr_a.count; ++i)
+        arr_a.setI(i, static_cast<std::int64_t>(i) * 10);
+    HostExecutor exec(kernel, &sys.hier(), &sys.backend(),
+                      &sys.acct());
+    for (std::int64_t o : {5, 7}) {
+        Word w;
+        w.i = o;
+        const auto res = exec.run({arr_a, arr_b}, {w}, 0);
+        EXPECT_DOUBLE_EQ(res.memOps, 2.0 * 64);
+        for (std::uint64_t i = 0; i < 64; ++i) {
+            EXPECT_EQ(arr_b.getI(i),
+                      (2 + 3 * o + static_cast<std::int64_t>(i)) * 10)
+                << "off " << o << " i " << i;
+        }
+    }
+}
+
+TEST(HostExec, PredicatedStoreWritesOnlyWhenTrue)
+{
+    // B[i] = A[i] where A[i] < 50: five stores land, the rest of B
+    // keeps its fill, and every store still counts as a memory op.
+    KernelBuilder kb("hx_pred");
+    const int a = kb.object("A", 64, 8, false);
+    const int b = kb.object("B", 64, 8, false);
+    kb.loopStatic(64);
+    const auto x = kb.load(a, kb.affine(0, 1));
+    kb.storeIf(kb.compute(compiler::OpCode::ICmpLt, x, kb.constInt(50)),
+               b, kb.affine(0, 1), x);
+    const auto kernel = kb.build();
+
+    driver::SystemParams sp;
+    driver::System sys(sp);
+    auto arr_a = sys.alloc("A", 64, 8, false);
+    auto arr_b = sys.alloc("B", 64, 8, false);
+    for (std::uint64_t i = 0; i < 64; ++i) {
+        arr_a.setI(i, static_cast<std::int64_t>(i) * 10);
+        arr_b.setI(i, -1);
+    }
+    HostExecutor exec(kernel, &sys.hier(), &sys.backend(),
+                      &sys.acct());
+    const double l1_before = sys.hier().l1().accesses();
+    const auto res = exec.run({arr_a, arr_b}, {}, 0);
+    EXPECT_DOUBLE_EQ(res.memOps, 2.0 * 64);
+    // 64 loads and 5 stores reach the hierarchy.
+    EXPECT_DOUBLE_EQ(sys.hier().l1().accesses() - l1_before, 64.0 + 5.0);
+    for (std::uint64_t i = 0; i < 64; ++i) {
+        EXPECT_EQ(arr_b.getI(i),
+                  i < 5 ? static_cast<std::int64_t>(i) * 10 : -1)
+            << i;
+    }
+}

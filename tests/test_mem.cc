@@ -130,6 +130,58 @@ TEST(Cache, MshrsQueueConcurrentMisses)
     EXPECT_GE(c.latency, a.latency + down.latency);
 }
 
+TEST(Cache, VictimIsFirstInvalidWayBeforeLru)
+{
+    energy::Accountant acct;
+    FakeDownstream down;
+    mem::CacheParams p = smallCache();
+    p.assoc = 4; // 4 sets; lines 0, 4, 8, 12, 16 share set 0
+    mem::Cache cache(p, &acct, down.fn());
+
+    cache.access(0 * 64, 8, false, 0);      // way 0
+    cache.access(4 * 64, 8, false, 100000); // way 1
+    cache.access(0 * 64, 8, false, 200000); // line 4 is now LRU
+    // Ways 2 and 3 are invalid and follow the valid ways: they fill
+    // before the LRU line is evicted.
+    cache.access(8 * 64, 8, false, 300000);
+    cache.access(12 * 64, 8, false, 400000);
+    for (Addr line : {0, 4, 8, 12})
+        EXPECT_TRUE(cache.contains(line * 64)) << line;
+    // Set full: the LRU line goes, the older but touched line stays.
+    cache.access(16 * 64, 8, false, 500000);
+    EXPECT_FALSE(cache.contains(4 * 64));
+    for (Addr line : {0, 8, 12, 16})
+        EXPECT_TRUE(cache.contains(line * 64)) << line;
+    EXPECT_EQ(cache.writebacks(), 0.0);
+}
+
+TEST(Cache, MshrQueueTakesEarliestFreeSlot)
+{
+    // Three MSHRs, five misses issued at tick 0 into distinct sets
+    // with per-miss downstream latencies; the tag latency is 1 cycle
+    // (500 ticks). A queued miss starts when the earliest-free MSHR
+    // frees, which is not the one written last.
+    energy::Accountant acct;
+    FakeDownstream down;
+    mem::CacheParams p = smallCache();
+    p.mshrs = 3;
+    mem::Cache cache(p, &acct, down.fn());
+    const auto miss = [&](Addr line, sim::Tick lat) {
+        down.latency = lat;
+        const auto r = cache.access(line * 64, 8, false, 0);
+        EXPECT_FALSE(r.hit);
+        return r.latency;
+    };
+    // Free MSHRs: start at 500, done at 500 + latency.
+    EXPECT_EQ(miss(0, 30000), 30500u); // slots {30500, 0, 0}
+    EXPECT_EQ(miss(1, 10000), 10500u); // slots {30500, 10500, 0}
+    EXPECT_EQ(miss(2, 20000), 20500u); // slots {30500, 10500, 20500}
+    // Earliest free is 10500 (the second miss's): 10500 + 15000.
+    EXPECT_EQ(miss(3, 15000), 25500u); // slots {30500, 25500, 20500}
+    // Earliest free is now 20500 (the third miss's, not the fourth's).
+    EXPECT_EQ(miss(4, 1000), 21500u);
+}
+
 TEST(Cache, MultiLineAccessTouchesEachLine)
 {
     energy::Accountant acct;
@@ -400,6 +452,23 @@ TEST(Nuca, RemoteAccessRidesNoc)
                          mem::TrafficTag{});
     EXPECT_GT(mesh.totalBytes(), before);
     EXPECT_GT(far.latency, local.latency);
+}
+
+TEST(Nuca, NonPowerOfTwoGeometryIsFatal)
+{
+    energy::Accountant acct;
+    mem::Dram dram(mem::DramParams{}, &acct);
+    noc::MeshParams six;
+    six.cols = 3; // 3x2: six clusters
+    noc::Mesh mesh6(six, &acct);
+    mem::NucaParams p6;
+    p6.clusters = 6;
+    EXPECT_PANIC(mem::NucaL3(p6, &mesh6, &dram, &acct), "powers of two");
+    noc::Mesh mesh(noc::MeshParams{}, &acct);
+    mem::NucaParams page;
+    page.pageBytes = 12288;
+    EXPECT_PANIC(mem::NucaL3(page, &mesh, &dram, &acct),
+                 "powers of two");
 }
 
 TEST(Hierarchy, HostWalkCountsEveryLevel)

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "death_helpers.hh"
 #include "src/noc/mesh.hh"
 
 using namespace distda;
@@ -36,6 +37,37 @@ TEST(Mesh, HopCountIsManhattanDistance)
             EXPECT_EQ(mesh.hops(a, b), mesh.hops(b, a));
         }
     }
+}
+
+TEST(Mesh, HopTableMatchesManhattanOnEveryGeometry)
+{
+    energy::Accountant acct;
+    for (const auto &[cols, rows] :
+         {std::make_pair(4, 2), std::make_pair(8, 8)}) {
+        noc::MeshParams p;
+        p.cols = cols;
+        p.rows = rows;
+        const noc::Mesh mesh(p, &acct);
+        for (int a = 0; a < cols * rows; ++a) {
+            for (int b = 0; b < cols * rows; ++b) {
+                EXPECT_EQ(mesh.hops(a, b),
+                          std::abs(a % cols - b % cols) +
+                              std::abs(a / cols - b / cols))
+                    << cols << "x" << rows << " " << a << "->" << b;
+            }
+        }
+    }
+}
+
+TEST(Mesh, NonPowerOfTwoWidthsAreFatal)
+{
+    energy::Accountant acct;
+    noc::MeshParams link;
+    link.linkBytes = 12;
+    EXPECT_PANIC(noc::Mesh(link, &acct), "powers of two");
+    noc::MeshParams flit;
+    flit.flitBytes = 6;
+    EXPECT_PANIC(noc::Mesh(flit, &acct), "powers of two");
 }
 
 TEST(Mesh, LocalDeliveryIsFree)

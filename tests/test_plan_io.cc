@@ -208,10 +208,25 @@ TEST(PlanIo, ValidatorFlagsCorruptedFields)
         p.channels.push_back(ch);
     };
 
+    // Set token @p idx of the first line starting with @p prefix: for
+    // out-of-range numbers that no in-memory plan can serialize.
+    auto set_token = [](std::string prefix, std::size_t idx,
+                        std::string value) {
+        return [=](std::string &text) {
+            std::size_t at = text.find("\n" + prefix);
+            ASSERT_NE(at, std::string::npos) << prefix;
+            for (std::size_t i = 0; i < idx; ++i)
+                at = text.find(' ', at + 1);
+            const std::size_t end = text.find_first_of(" \n", at + 1);
+            text.replace(at + 1, end - at - 1, value);
+        };
+    };
+
     const struct
     {
         const char *fragment; ///< expected in the first diagnostic
         std::function<void(OffloadPlan &)> corrupt;
+        std::function<void(std::string &)> edit = nullptr; ///< on text
     } rows[] = {
         {"fingerprint mismatch",
          [](OffloadPlan &p) {
@@ -285,12 +300,33 @@ TEST(PlanIo, ValidatorFlagsCorruptedFields)
                  }
              }
          }},
+        {"dependence info does not match",
+         [](OffloadPlan &p) { p.dep.loadChainDepth = 2000000000; }},
+        // Integers beyond int are parse errors, not wrapped values.
+        {"channel-list id value -9223372036854775808 out of range",
+         [](OffloadPlan &) {},
+         set_token("inch 2 ", 2, "-9223372036854775808")},
+        // Token 10 of a memobject node (no paramCoeffs) is addrInput,
+        // -1 there; 4294967295 used to load as -1 and validate.
+        {"addrInput value 4294967295 out of range", [](OffloadPlan &) {},
+         set_token("node 0 memobject ", 10, "4294967295")},
     };
     for (const auto &row : rows) {
         OffloadPlan p = plan;
         row.corrupt(p);
-        const std::string defect = compiler::validatePlanArtifact(
-            compiler::parsePlan(compiler::serializePlan(p)));
+        std::string text = compiler::serializePlan(p);
+        if (row.edit)
+            row.edit(text);
+        std::string defect;
+        {
+            ScopedFailureCapture capture;
+            try {
+                defect = compiler::validatePlanArtifact(
+                    compiler::parsePlan(text));
+            } catch (const SimFailure &f) {
+                defect = f.what();
+            }
+        }
         EXPECT_NE(defect.find(row.fragment), std::string::npos)
             << "want '" << row.fragment << "', got '" << defect << "'";
     }
