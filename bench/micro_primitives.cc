@@ -43,10 +43,9 @@ BENCHMARK(BM_EventQueue);
 void
 BM_CacheAccess(benchmark::State &state)
 {
-    energy::Accountant acct;
     mem::CacheParams cp;
     cp.sizeBytes = 32 * 1024;
-    mem::Cache cache(cp, &acct,
+    mem::Cache cache(cp,
                      mem::Cache::Downstream(
                          [](void *, mem::Addr, bool, sim::Tick) {
                              return sim::Tick(20000);
@@ -65,8 +64,7 @@ BENCHMARK(BM_CacheAccess);
 void
 BM_MeshTransfer(benchmark::State &state)
 {
-    energy::Accountant acct;
-    noc::Mesh mesh(noc::MeshParams{}, &acct);
+    noc::Mesh mesh(noc::MeshParams{});
     sim::Rng rng(2);
     sim::Tick now = 0;
     for (auto _ : state) {

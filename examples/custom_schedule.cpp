@@ -36,7 +36,7 @@ main()
     const int c_src = hier.l3().clusterOf(src.base);
     const int c_dst = hier.l3().clusterOf(dst.base);
 
-    offload::CoprocessorInterface iface(&hier, &sys.acct());
+    offload::CoprocessorInterface iface(&hier);
 
     // Host configuration, exactly the Fig 5b pseudocode: a
     // forward-stepping write access and reverse-stepping read access
@@ -131,9 +131,9 @@ main()
                 static_cast<double>(done) / 1e6,
                 ok ? "validated" : "MISMATCH");
     std::printf("traffic: intra=%.0fB, D-A=%.0fB, A-A over NoC=%.0fB, "
-                "MMIO ops=%.0f\n",
+                "MMIO ops=%llu\n",
                 stats.intraBytes, stats.daBytes,
                 hier.mesh().bytesInClass(noc::TrafficClass::AccData),
-                iface.mmioOps());
+                static_cast<unsigned long long>(iface.mmioOps()));
     return ok ? 0 : 1;
 }

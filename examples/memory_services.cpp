@@ -42,7 +42,7 @@ main()
         for (std::uint64_t i = 0; i < n; ++i)
             arr.setF(i, 1e18);
 
-        MemoryServiceLayer svc(&sys.hier(), &sys.acct(), policy);
+        MemoryServiceLayer svc(&sys.hier(), policy);
         sim::Rng rng(2024);
         sim::Tick now = 0;
         for (std::uint64_t t = 0; t < tasks; ++t) {
@@ -50,10 +50,14 @@ main()
                               rng.nextDouble() * 1000.0, now);
         }
 
+        energy::Counts counts = sys.memoryCounts();
+        counts.mmioOps = svc.mmioOps();
+        const double pj =
+            energy::totalPj(energy::price(counts, sp.energy, 1.0));
         std::printf("%-16s %12.2f %14.1f %10.0f %9.1f%%\n",
                     migrationPolicyName(policy),
                     static_cast<double>(now) / 1e6,
-                    sys.acct().totalPj() / 1000.0,
+                    pj / 1000.0,
                     svc.stats().migrated,
                     100.0 * svc.stats().localExecutions /
                         svc.stats().tasks);

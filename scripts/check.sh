@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
 # Full verification, mirroring what CI would run:
-#   1. configure + build into a throwaway build dir
+#   1. configure + build into a throwaway build dir; --help of every
+#      tools/distda_* CLI prints its usage and exits 0
 #   2. fast static-verification smoke pass over every workload
 #   3. full test suite
 #   4. parallel-sweep determinism smoke (--jobs=1 vs --jobs=N CSV)
@@ -46,6 +47,12 @@ echo "===== configure + build ($BUILD)"
 # shellcheck disable=SC2086
 cmake -B "$BUILD" $GEN >/dev/null
 cmake --build "$BUILD" -j "$(nproc)"
+
+echo "===== --help on every CLI"
+for t in run fuzz plan stats serve load; do
+    "$BUILD/tools/distda_$t" --help >/dev/null ||
+        { echo "distda_$t --help exited nonzero" >&2; exit 1; }
+done
 
 echo "===== static verification smoke (all workloads, Dist-DA-F)"
 for w in dis tra fdt cho adi sei pf nw bfs pr pch pca spmv; do

@@ -280,7 +280,7 @@ runNwBlockedNest(const NwData &d, bool staged, const char *label)
 
     Channel rows(64, 8, true, c_host, c_f);
 
-    offload::CoprocessorInterface iface(&hier, &sys.acct());
+    offload::CoprocessorInterface iface(&hier);
     sim::Tick t0 = 0;
     t0 = iface.cpConfigStream(c_f, 0, fp.base, 4,
                               static_cast<std::uint32_t>(m * m * 4),

@@ -461,7 +461,7 @@ runBlockedNest(const TiledCsr &csr, bool stage_x, const char *label)
     Channel bounds(64, 8, true, c_rowptr, c_vals);
 
     // Host configures the offload once (Fig 5a pseudocode).
-    offload::CoprocessorInterface iface(&hier, &sys.acct());
+    offload::CoprocessorInterface iface(&hier);
     sim::Tick t0 = 0;
     t0 = iface.cpConfigRandom(c_rowptr, 0, a.rowptr.base,
                               a.rowptr.base + a.rowptr.sizeBytes(), t0);

@@ -101,10 +101,22 @@ readInt(std::istringstream &in, const char *what)
 std::uint64_t
 readU64(std::istringstream &in, const char *what)
 {
+    // operator>> would negate a leading '-' modulo 2^64, not fail.
+    in >> std::ws;
     std::uint64_t v;
-    if (!(in >> v))
+    if (in.peek() == '-' || !(in >> v))
         fatal("plan text: bad unsigned field %s", what);
     return v;
+}
+
+std::uint32_t
+readU32(std::istringstream &in, const char *what)
+{
+    const std::uint64_t v = readU64(in, what);
+    if (v > std::numeric_limits<std::uint32_t>::max())
+        fatal("plan text: unsigned field %s value %llu out of range",
+              what, static_cast<unsigned long long>(v));
+    return static_cast<std::uint32_t>(v);
 }
 
 std::uint64_t
@@ -172,7 +184,7 @@ readNode(std::istringstream &in)
     std::string kind;
     in >> kind;
     n.kind = kindFromName(kind);
-    n.bits = static_cast<std::uint32_t>(readU64(in, "bits"));
+    n.bits = readU32(in, "bits");
     n.objId = readInt(in, "objId");
     std::string dir, pat;
     in >> dir >> pat;
@@ -255,8 +267,7 @@ KernelLineReader::consume(const std::string &tok, std::istringstream &in)
         MemObjectDecl o;
         o.id = readInt(in, "kobject id");
         o.elemCount = readU64(in, "kobject count");
-        o.elemBytes =
-            static_cast<std::uint32_t>(readU64(in, "kobject bytes"));
+        o.elemBytes = readU32(in, "kobject bytes");
         o.isFloat = readI64(in, "kobject float") != 0;
         o.name = readName(in, "kobject name");
         _pending.objects.push_back(std::move(o));
@@ -301,6 +312,7 @@ using planio::readHex;
 using planio::readI64;
 using planio::readInt;
 using planio::readName;
+using planio::readU32;
 using planio::readU64;
 using planio::sanitizeName;
 using planio::wordBits;
@@ -437,8 +449,7 @@ readAccessorLine(std::istringstream &in)
     a.affine.paramCoeffs.resize(npc);
     for (std::uint64_t k = 0; k < npc; ++k)
         a.affine.paramCoeffs[k] = readI64(in, "accessor paramCoeff");
-    a.elemBytes =
-        static_cast<std::uint32_t>(readU64(in, "accessor elemBytes"));
+    a.elemBytes = readU32(in, "accessor elemBytes");
     a.elemIsFloat = readI64(in, "accessor elemIsFloat") != 0;
     a.accessId = readInt(in, "accessor accessId");
     a.bufferSlot = readInt(in, "accessor bufferSlot");
@@ -595,8 +606,7 @@ parsePlan(const std::string &text)
             plan.options.swPrefetch = readI64(in, "swPrefetch") != 0;
             plan.options.enableCombining =
                 readI64(in, "enableCombining") != 0;
-            plan.options.bufferBytes = static_cast<std::uint32_t>(
-                readU64(in, "bufferBytes"));
+            plan.options.bufferBytes = readU32(in, "bufferBytes");
             plan.options.channelCapacity = readInt(in, "channelCapacity");
             plan.options.verifyPlans =
                 verifyModeFromName(readName(in, "verifyPlans"));
@@ -617,8 +627,7 @@ parsePlan(const std::string &text)
             c.srcPartition = readInt(in, "channel srcPartition");
             c.dstPartition = readInt(in, "channel dstPartition");
             c.srcNode = readInt(in, "channel srcNode");
-            c.bits =
-                static_cast<std::uint32_t>(readU64(in, "channel bits"));
+            c.bits = readU32(in, "channel bits");
             c.control = readI64(in, "channel control") != 0;
             plan.channels.push_back(c);
         } else if (tok == "partition") {

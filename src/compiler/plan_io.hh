@@ -100,7 +100,10 @@ std::string readName(std::istringstream &in, const char *what);
 std::int64_t readI64(std::istringstream &in, const char *what);
 /** readI64 for an `int` field: a value outside int is a parse error. */
 int readInt(std::istringstream &in, const char *what);
+/** An unsigned field; a leading '-' is a parse error, not a wrap. */
 std::uint64_t readU64(std::istringstream &in, const char *what);
+/** readU64 for a 32-bit field: a value beyond it is a parse error. */
+std::uint32_t readU32(std::istringstream &in, const char *what);
 std::uint64_t readHex(std::istringstream &in, const char *what);
 
 std::uint64_t wordBits(Word w);

@@ -106,11 +106,10 @@ ExecContext::compiled(const compiler::Kernel &kernel)
         engine::EngineConfig ec = _config.engineConfig();
         ec.probe = _probe;
         ck.runtime = offload::instantiate(ck.plan, ec, &_sys.hier(),
-                                          &_sys.backend(),
-                                          &_sys.acct());
+                                          &_sys.backend());
     } else {
         ck.host = std::make_unique<engine::HostExecutor>(
-            ck.plan, &_sys.hier(), &_sys.backend(), &_sys.acct());
+            ck.plan, &_sys.hier(), &_sys.backend());
     }
     auto [pos, ok] = _kernels.emplace(kernel.name, std::move(ck));
     DISTDA_ASSERT(ok, "kernel '%s' compiled twice",
@@ -140,6 +139,7 @@ ExecContext::invoke(const compiler::Kernel &kernel,
             ck.runtime->invoke(bindings, params, _now);
         _now = res.endTick;
         _accelInsts += res.accelInsts;
+        _accelPortOps += res.accelPortOps;
         _memOps += res.memOps;
         _lastResults = std::move(res.results);
         rec = res.record;
@@ -192,7 +192,6 @@ ExecContext::hostOps(double n)
     const double cycles = n / 5.0; // 5-wide issue
     _now += static_cast<sim::Tick>(cycles * _hostClock.period());
     _hostInsts += n;
-    _sys.acct().addEvents(energy::Component::OoOCore, n);
 }
 
 std::int64_t
@@ -203,7 +202,6 @@ ExecContext::hostLoadI(const engine::ArrayRef &arr, std::uint64_t i)
     _now += res.latency;
     _hostInsts += 1.0;
     _hostMemOps += 1.0;
-    _sys.acct().addEvents(energy::Component::OoOCore, 1.0);
     return arr.getI(i);
 }
 
@@ -215,7 +213,6 @@ ExecContext::hostLoadF(const engine::ArrayRef &arr, std::uint64_t i)
     _now += res.latency;
     _hostInsts += 1.0;
     _hostMemOps += 1.0;
-    _sys.acct().addEvents(energy::Component::OoOCore, 1.0);
     return arr.getF(i);
 }
 
@@ -227,7 +224,6 @@ ExecContext::hostStoreI(engine::ArrayRef &arr, std::uint64_t i,
     _now += _hostClock.period();
     _hostInsts += 1.0;
     _hostMemOps += 1.0;
-    _sys.acct().addEvents(energy::Component::OoOCore, 1.0);
     arr.setI(i, v);
 }
 
@@ -238,7 +234,6 @@ ExecContext::hostStoreF(engine::ArrayRef &arr, std::uint64_t i, double v)
     _now += _hostClock.period();
     _hostInsts += 1.0;
     _hostMemOps += 1.0;
-    _sys.acct().addEvents(energy::Component::OoOCore, 1.0);
     arr.setF(i, v);
 }
 
@@ -312,6 +307,30 @@ ExecContext::compileOnly(const compiler::Kernel &kernel)
     return *compiled(kernel).plan;
 }
 
+energy::Counts
+ExecContext::eventCounts() const
+{
+    energy::Counts c = _sys.memoryCounts();
+    c.oooInsts = static_cast<std::uint64_t>(_hostInsts);
+    // One engine config serves every kernel of the run.
+    const auto accel_ops = static_cast<std::uint64_t>(_accelInsts);
+    if (_config.cgra()) {
+        c.cgraOps = accel_ops - _accelPortOps;
+        c.cgraPortOps = _accelPortOps;
+    } else {
+        c.ioOps = accel_ops - _accelPortOps;
+        c.ioPortOps = _accelPortOps;
+    }
+    for (const auto &[name, ck] : _kernels) {
+        if (!ck.runtime)
+            continue;
+        c.mmioOps += ck.runtime->mmioOps();
+        if (const mem::Cache *pc = ck.runtime->engine().privateCache())
+            c.acpAccesses += pc->arrayAccesses();
+    }
+    return c;
+}
+
 Metrics
 ExecContext::finish()
 {
@@ -333,15 +352,13 @@ ExecContext::finish()
     auto &hier = _sys.hier();
     m.cacheAccesses = hier.cacheAccesses();
 
-    auto &acct = _sys.acct();
-    m.totalEnergyPj = acct.totalPj();
-    for (std::size_t i = 0;
-         i < static_cast<std::size_t>(
-                 energy::Component::NumComponents);
-         ++i) {
-        const auto c = static_cast<energy::Component>(i);
-        m.energyByComponent[energy::componentName(c)] =
-            acct.componentPj(c);
+    const energy::Breakdown pj =
+        energy::price(eventCounts(), _sys.params().energy,
+                      _config.engineConfig().instEnergyScale);
+    m.totalEnergyPj = energy::totalPj(pj);
+    for (std::size_t i = 0; i < energy::kNumComponents; ++i) {
+        m.energyByComponent[energy::componentName(
+            static_cast<energy::Component>(i))] = pj[i];
     }
 
     auto &mesh = hier.mesh();

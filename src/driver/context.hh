@@ -136,6 +136,8 @@ class ExecContext
                        const std::vector<compiler::Word> &params);
     /** Sample one invocation's record into the probe's dists. */
     void recordLifecycle(const offload::OffloadRecord &rec);
+    /** The run's priced events, gathered from the components. */
+    energy::Counts eventCounts() const;
 
     System &_sys;
     RunConfig _config;
@@ -147,6 +149,7 @@ class ExecContext
     std::vector<std::pair<int, compiler::Word>> _lastResults;
     double _hostInsts = 0.0;
     double _accelInsts = 0.0;
+    std::uint64_t _accelPortOps = 0;
     double _memOps = 0.0;
     double _hostMemOps = 0.0;
     double _planHits = 0.0;

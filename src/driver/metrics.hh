@@ -2,10 +2,14 @@
  * @file
  * Run metrics collected for the paper's tables and figures.
  *
- * The "data movement" metric sums the bytes crossing each interface
- * exactly once: core<->L1 words, L1<->L2 and L2<->L3 line fills and
- * writebacks, L3<->DRAM lines, accelerator buffer traffic (intra),
- * accelerator<->cache (D-A) and accelerator<->accelerator (A-A).
+ * The "data movement" metric sums the bytes crossing each interface:
+ * core<->L1 words, L1<->L2 and L2<->L3 line fills and writebacks (L2
+ * prefetches included), L3<->DRAM lines, accelerator<->cache (D-A) and
+ * accelerator<->accelerator (A-A), plus NoC bytes weighted by hops
+ * traveled, so traffic that rides the mesh counts again there. Buffer
+ * reads local to an access unit (intra) are deliberately excluded:
+ * keeping data inside one unit is what "near-data" avoids moving. See
+ * ExecContext::finish().
  */
 
 #ifndef DISTDA_DRIVER_METRICS_HH

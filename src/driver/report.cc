@@ -92,7 +92,9 @@ buildRunReport(const Metrics &m, System &sys, const sim::Probe *probe,
     stats::Group hier("hier");
     stats::Group energy("energy");
     sys.hier().exportStats(hier);
-    sys.acct().exportStats(energy);
+    for (const auto &[name, pj] : m.energyByComponent)
+        energy.add("energy_pj." + name) = pj;
+    energy.add("energy_pj.total") = m.totalEnergyPj;
     root.addChild(&hier);
     root.addChild(&energy);
 

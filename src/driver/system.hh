@@ -1,6 +1,6 @@
 /**
  * @file
- * One simulated system instance: energy accountant, memory hierarchy,
+ * One simulated system instance: energy parameters, memory hierarchy,
  * slab-allocated accelerator-visible arena with real backing bytes, and
  * the object translation table. A fresh System is built per
  * (workload, configuration) run.
@@ -39,19 +39,36 @@ class System
 {
   public:
     explicit System(const SystemParams &params = SystemParams{})
-        : _params(params), _acct(params.energy),
-          _hier(params.hierarchy, &_acct),
+        : _params(params), _hier(params.hierarchy),
           _slab(params.arenaBase, params.arenaBytes),
           _backend(params.arenaBase, params.arenaBytes)
     {
     }
 
-    energy::Accountant &acct() { return _acct; }
     mem::Hierarchy &hier() { return _hier; }
     mem::SlabAllocator &slab() { return _slab; }
     engine::MemBackend &backend() { return _backend; }
     mem::ObjectTable &objects() { return _objects; }
     const SystemParams &params() const { return _params; }
+
+    /**
+     * The memory system's priced events: cache array accesses, DRAM
+     * lines and NoC hop flits. Core and MMIO counts are the caller's.
+     */
+    energy::Counts
+    memoryCounts()
+    {
+        energy::Counts c;
+        c.l1Accesses = _hier.l1().arrayAccesses();
+        c.l2Accesses = _hier.l2().arrayAccesses();
+        for (int k = 0; k < _params.hierarchy.l3.clusters; ++k) {
+            c.l3Accesses += _hier.l3().bank(k).arrayAccesses();
+            c.acpAccesses += _hier.acp(k).arrayAccesses();
+        }
+        c.dramLines = _hier.dram().reads() + _hier.dram().writes();
+        c.nocHopFlits = _hier.mesh().hopFlits();
+        return c;
+    }
 
     /** Allocate a data structure in the accelerator-visible arena. */
     engine::ArrayRef
@@ -86,7 +103,6 @@ class System
 
   private:
     SystemParams _params;
-    energy::Accountant _acct;
     mem::Hierarchy _hier;
     mem::SlabAllocator _slab;
     engine::MemBackend _backend;

@@ -24,49 +24,45 @@ componentName(Component c)
     }
 }
 
-Accountant::Accountant(const EnergyParams &params) : _params(params)
+Breakdown
+price(const Counts &counts, const EnergyParams &params,
+      double inst_energy_scale)
 {
-    const auto idx = [](Component c) {
-        return static_cast<std::size_t>(c);
+    const auto n = [](std::uint64_t v) { return static_cast<double>(v); };
+    // Full pipeline passes and port ops at their own per-op prices.
+    const auto accel = [&](std::uint64_t ops, std::uint64_t port_ops,
+                           double pj) {
+        return n(ops) * (pj * inst_energy_scale) +
+               n(port_ops) * (pj * (inst_energy_scale * 0.4));
     };
-    _perEvent[idx(Component::OoOCore)] = _params.oooPerInstPj;
-    _perEvent[idx(Component::IOCore)] = _params.ioPerInstPj;
-    _perEvent[idx(Component::Cgra)] = _params.cgraPerOpPj;
-    _perEvent[idx(Component::L1)] = _params.l1AccessPj;
-    _perEvent[idx(Component::L2)] = _params.l2AccessPj;
-    _perEvent[idx(Component::L3)] = _params.l3AccessPj;
-    _perEvent[idx(Component::Dram)] = _params.dramLinePj;
-    _perEvent[idx(Component::Buffer)] = _params.bufferAccessPj;
-    _perEvent[idx(Component::Noc)] = _params.nocHopFlitPj;
-    _perEvent[idx(Component::Mmio)] = _params.mmioPj;
-    _perEvent[idx(Component::Acp)] = _params.acpAccessPj;
+    Breakdown pj{};
+    const auto set = [&pj](Component c, double v) {
+        pj[static_cast<std::size_t>(c)] = v;
+    };
+    set(Component::OoOCore, n(counts.oooInsts) * params.oooPerInstPj);
+    set(Component::IOCore,
+        accel(counts.ioOps, counts.ioPortOps, params.ioPerInstPj));
+    set(Component::Cgra,
+        accel(counts.cgraOps, counts.cgraPortOps, params.cgraPerOpPj));
+    set(Component::L1, n(counts.l1Accesses) * params.l1AccessPj);
+    set(Component::L2, n(counts.l2Accesses) * params.l2AccessPj);
+    set(Component::L3, n(counts.l3Accesses) * params.l3AccessPj);
+    set(Component::Dram, n(counts.dramLines) * params.dramLinePj);
+    set(Component::Buffer, n(counts.ioPortOps + counts.cgraPortOps) *
+                               params.bufferAccessPj);
+    set(Component::Noc, n(counts.nocHopFlits) * params.nocHopFlitPj);
+    set(Component::Mmio, n(counts.mmioOps) * params.mmioPj);
+    set(Component::Acp, n(counts.acpAccesses) * params.acpAccessPj);
+    return pj;
 }
 
 double
-Accountant::totalPj() const
+totalPj(const Breakdown &pj)
 {
     double total = 0.0;
-    for (double v : _perComponent)
+    for (double v : pj)
         total += v;
     return total;
-}
-
-void
-Accountant::reset()
-{
-    _perComponent.fill(0.0);
-}
-
-void
-Accountant::exportStats(stats::Group &group) const
-{
-    for (std::size_t i = 0;
-         i < static_cast<std::size_t>(Component::NumComponents); ++i) {
-        group.add(std::string("energy_pj.") +
-                  componentName(static_cast<Component>(i))) =
-            _perComponent[i];
-    }
-    group.add("energy_pj.total") = totalPj();
 }
 
 } // namespace distda::energy

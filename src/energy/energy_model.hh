@@ -1,6 +1,11 @@
 /**
  * @file
- * Dynamic-energy accounting in the spirit of McPAT/Cacti at 32nm.
+ * Dynamic-energy pricing in the spirit of McPAT/Cacti at 32nm.
+ *
+ * Simulation only counts events; energy is priced once, after the run,
+ * as integer event counts times per-event costs (gem5 statistics fed
+ * through McPAT do the same). A recorded set of counts can therefore be
+ * re-priced under other EnergyParams without re-simulating.
  *
  * The evaluation reports *normalized* energy efficiency, so what matters
  * is that per-event costs sit in the right ratios: DRAM access >> L3
@@ -15,9 +20,6 @@
 
 #include <array>
 #include <cstdint>
-#include <string>
-
-#include "src/sim/stats.hh"
 
 namespace distda::energy
 {
@@ -32,12 +34,20 @@ enum class Component : std::uint8_t
     L2,          ///< private L2 cache
     L3,          ///< one NUCA L3 bank access
     Dram,        ///< LPDDR access
-    Buffer,      ///< access-unit SRAM buffer access
+    /**
+     * Access-unit SRAM buffer port, charged once per channel produce or
+     * consume. Access-unit fills and reads of the stream buffers
+     * (accel::AccessStats::bufferAccesses) are not charged.
+     */
+    Buffer,
     Noc,         ///< on-chip network hop traversal
     Mmio,        ///< host-side MMIO intrinsic issue
     Acp,         ///< accelerator coherency port access
     NumComponents
 };
+
+constexpr std::size_t kNumComponents =
+    static_cast<std::size_t>(Component::NumComponents);
 
 /** Human-readable component name, for stat registration. */
 const char *componentName(Component c);
@@ -61,77 +71,42 @@ struct EnergyParams
     double acpAccessPj = 8.0;       ///< 1KB ACP front-end access
 };
 
-/**
- * Accumulates dynamic energy per component. One Accountant exists per
- * simulated system; components hold a pointer and charge events.
- */
-class Accountant
+/** The priced events of one run, counted by the simulated components. */
+struct Counts
 {
-  public:
-    explicit Accountant(const EnergyParams &params = EnergyParams{});
-
-    const EnergyParams &params() const { return _params; }
-
-    /** Charge @p pj picojoules to component @p c. */
-    void
-    add(Component c, double pj)
-    {
-        _perComponent[static_cast<std::size_t>(c)] += pj;
-    }
-
+    std::uint64_t oooInsts = 0;
     /**
-     * Charge n events at the default per-event cost of @p c. Hot on
-     * the simulation critical path (one call per modeled instruction
-     * and cache access), so the per-event costs are pre-resolved into
-     * a table at construction and the charge stays inline.
+     * Accelerator instructions per substrate, split into full pipeline
+     * passes and channel-port ops (produce/consume), which cost 0.4 of
+     * a full pass. Port ops are also the Buffer events.
      */
-    void
-    addEvents(Component c, double n)
-    {
-        add(c, _perEvent[static_cast<std::size_t>(c)] * n);
-    }
-
-    /** Energy so far for one component, in picojoules. */
-    double
-    componentPj(Component c) const
-    {
-        return _perComponent[static_cast<std::size_t>(c)];
-    }
-
-    /** The default per-event cost of @p c, in picojoules. */
-    double
-    perEventPj(Component c) const
-    {
-        return _perEvent[static_cast<std::size_t>(c)];
-    }
-
-    /**
-     * Store back a running total of @p c that a hot loop kept in a
-     * local: seeded from componentPj() and advanced by the same adds
-     * in the same order, it is bit-identical to charging each add.
-     */
-    void
-    setComponentPj(Component c, double pj)
-    {
-        _perComponent[static_cast<std::size_t>(c)] = pj;
-    }
-
-    /** Total energy across all components, in picojoules. */
-    double totalPj() const;
-
-    /** Zero all accumulators. */
-    void reset();
-
-    /** Export per-component totals into @p group. */
-    void exportStats(stats::Group &group) const;
-
-  private:
-    EnergyParams _params;
-    std::array<double, static_cast<std::size_t>(Component::NumComponents)>
-        _perComponent{};
-    std::array<double, static_cast<std::size_t>(Component::NumComponents)>
-        _perEvent{};
+    std::uint64_t ioOps = 0;
+    std::uint64_t ioPortOps = 0;
+    std::uint64_t cgraOps = 0;
+    std::uint64_t cgraPortOps = 0;
+    /** Cache array accesses: demand accesses plus prefetch fills. */
+    std::uint64_t l1Accesses = 0;
+    std::uint64_t l2Accesses = 0;
+    std::uint64_t l3Accesses = 0; ///< all banks
+    std::uint64_t acpAccesses = 0; ///< ACPs + Mono-CA private cache
+    std::uint64_t dramLines = 0;   ///< reads + writes
+    std::uint64_t nocHopFlits = 0;
+    std::uint64_t mmioOps = 0;
 };
+
+/** Energy per component in picojoules, indexed by Component. */
+using Breakdown = std::array<double, kNumComponents>;
+
+/**
+ * Price @p counts under @p params. Accelerator instructions cost
+ * @p inst_energy_scale times the substrate's per-instruction price (see
+ * engine::EngineConfig::instEnergyScale).
+ */
+Breakdown price(const Counts &counts, const EnergyParams &params,
+                double inst_energy_scale);
+
+/** Sum of @p pj over all components, in Component order. */
+double totalPj(const Breakdown &pj);
 
 } // namespace distda::energy
 

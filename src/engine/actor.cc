@@ -22,12 +22,11 @@ PartitionActor::PartitionActor(
     const Config &config, std::vector<AccessorRuntime> accessors,
     std::unique_ptr<accel::RandomUnit> random, std::vector<Channel *> ins,
     std::vector<Channel *> outs, std::vector<Word> param_values,
-    MemBackend *backend, energy::Accountant *acct, noc::Mesh *mesh,
-    accel::AccessStats *stats)
+    MemBackend *backend, noc::Mesh *mesh, accel::AccessStats *stats)
     : _config(config), _accessors(std::move(accessors)),
       _random(std::move(random)), _ins(std::move(ins)),
-      _outs(std::move(outs)), _backend(backend), _acct(acct),
-      _mesh(mesh), _stats(stats)
+      _outs(std::move(outs)), _backend(backend), _mesh(mesh),
+      _stats(stats)
 {
     const compiler::MicroProgram &prog = _config.part->program;
     _regs.assign(static_cast<std::size_t>(std::max(prog.numRegs, 1)),
@@ -98,14 +97,6 @@ PartitionActor::PartitionActor(
                     : 0;
 
     _isCgra = config.kind == ActorKind::Cgra;
-    // Per-instruction energy (scale * 1.0 events for a full pipeline
-    // pass, scale * 0.4 for a buffer-port op), hoisted out of the loop
-    // as the same products Accountant::addEvents would form.
-    if (_acct) {
-        const double pj = _acct->perEventPj(config.energyComp);
-        _fullInstPj = pj * config.instEnergyScale;
-        _portInstPj = pj * (config.instEnergyScale * 0.4);
-    }
     _ivPtr = prog.ivReg != compiler::noReg ? &_regs[prog.ivReg]
                                            : nullptr;
     _exec.reserve(prog.insts.size());
@@ -206,23 +197,14 @@ PartitionActor::runPredecoded(std::int64_t max_iters)
     std::int64_t done = 0;
 
     // Slice-batched counters. Counts are integers, so one batched add
-    // equals per-instruction adds exactly; the same holds for Buffer
-    // energy (integer count x per-event cost). The compute-component
-    // charge stays per-instruction because its port ops carry an
-    // inexact 0.4 weight and batching would change the FP summation
-    // order; it runs in a local seeded from the accountant instead, so
-    // the adds and their order are unchanged (see DESIGN.md). Nothing
-    // else charges the actor's component during a slice.
-    double insts = 0.0, mem_ops = 0.0, buf_events = 0.0;
-    double inst_pj = _acct ? _acct->componentPj(_config.energyComp) : 0.0;
+    // equals per-instruction adds exactly. Energy is priced from the
+    // totals after the run (energy::price).
+    double insts = 0.0, mem_ops = 0.0;
+    std::uint64_t port_ops = 0;
     const auto flush = [&] {
         _insts += insts;
         _memOps += mem_ops;
-        if (_acct) {
-            _acct->setComponentPj(_config.energyComp, inst_pj);
-            if (buf_events != 0.0)
-                _acct->addEvents(energy::Component::Buffer, buf_events);
-        }
+        _portOps += port_ops;
     };
 
     while (_iter < _config.trip) {
@@ -246,7 +228,6 @@ PartitionActor::runPredecoded(std::int64_t max_iters)
         }
         while (_pc < nops) {
             const ExecOp &op = ops[_pc];
-            bool port_op = false;
             switch (op.kind) {
               case MicroKind::Alu: {
                   *op.dst = compiler::evalOp(op.op, *op.a, *op.b, *op.c);
@@ -356,8 +337,7 @@ PartitionActor::runPredecoded(std::int64_t max_iters)
                   ch->pop();
                   _stats->intraBytes += ch->elemBytes();
                   _stats->bufferAccesses += 1.0;
-                  buf_events += 1.0;
-                  port_op = true;
+                  ++port_ops;
                   break;
               }
               case MicroKind::Produce: {
@@ -379,8 +359,7 @@ PartitionActor::runPredecoded(std::int64_t max_iters)
                   ch->push(*op.a, arrive);
                   _stats->aaBytes += ch->elemBytes();
                   _stats->bufferAccesses += 1.0;
-                  buf_events += 1.0;
-                  port_op = true;
+                  ++port_ops;
                   _now += _instCost;
                   break;
               }
@@ -394,7 +373,6 @@ PartitionActor::runPredecoded(std::int64_t max_iters)
                       static_cast<int>(op.kind));
             }
             insts += 1.0;
-            inst_pj += port_op ? _portInstPj : _fullInstPj;
             ++_pc;
         }
         _pc = 0;

@@ -16,7 +16,6 @@
 
 #include "src/accel/access_unit.hh"
 #include "src/compiler/plan.hh"
-#include "src/energy/energy_model.hh"
 #include "src/engine/backend.hh"
 #include "src/engine/channel.hh"
 #include "src/noc/mesh.hh"
@@ -53,7 +52,6 @@ class PartitionActor
         ActorKind kind = ActorKind::InOrder;
         sim::Tick cycleTick = 500; ///< 2GHz accelerator cycle
         int issueWidth = 1;
-        double instEnergyScale = 1.0;
         int ii = 1;                ///< CGRA initiation interval
         int scheduleDepth = 1;     ///< CGRA pipeline fill
         int cluster = 0;
@@ -61,7 +59,6 @@ class PartitionActor
         bool swPrefetch = false;
         /** Indirect-access run-ahead window (0 for recurrences). */
         sim::Tick hideTicks = 0;
-        energy::Component energyComp = energy::Component::IOCore;
         sim::Tick startTick = 0;
         /**
          * Observability wiring (null when off). Span emission is
@@ -80,8 +77,8 @@ class PartitionActor
                    std::vector<Channel *> ins,
                    std::vector<Channel *> outs,
                    std::vector<compiler::Word> param_values,
-                   MemBackend *backend, energy::Accountant *acct,
-                   noc::Mesh *mesh, accel::AccessStats *stats);
+                   MemBackend *backend, noc::Mesh *mesh,
+                   accel::AccessStats *stats);
 
     /**
      * Execute up to @p max_iters loop iterations.
@@ -103,6 +100,8 @@ class PartitionActor
     const StallStats &stalls() const { return _stalls; }
     std::int64_t iteration() const { return _iter; }
     double instsExecuted() const { return _insts; }
+    /** Channel produce/consume instructions among instsExecuted(). */
+    std::uint64_t portOps() const { return _portOps; }
     double memOps() const { return _memOps; }
     int cluster() const { return _config.cluster; }
 
@@ -163,7 +162,6 @@ class PartitionActor
     std::vector<Channel *> _ins;
     std::vector<Channel *> _outs;
     MemBackend *_backend;
-    energy::Accountant *_acct;
     noc::Mesh *_mesh;
     accel::AccessStats *_stats;
 
@@ -171,8 +169,6 @@ class PartitionActor
     std::vector<ExecOp> _exec; ///< the program, one ExecOp per MicroInst
     compiler::Word *_ivPtr = nullptr; ///< induction register, if any
     compiler::Word _scratch{};        ///< sink for noReg destinations
-    double _fullInstPj = 0.0; ///< compute energy per full inst
-    double _portInstPj = 0.0; ///< compute energy per port op
     bool _isCgra = false;
     std::size_t _pc = 0;
     std::int64_t _iter = 0;
@@ -182,6 +178,7 @@ class PartitionActor
     sim::Tick _finishTick = 0;
     bool _finished = false;
     double _insts = 0.0;
+    std::uint64_t _portOps = 0;
     double _memOps = 0.0;
     StallStats _stalls;
 };

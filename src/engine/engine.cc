@@ -19,10 +19,8 @@ using compiler::Word;
 
 DataflowEngine::DataflowEngine(const OffloadPlan &plan,
                                const EngineConfig &config,
-                               mem::Hierarchy *hier, MemBackend *backend,
-                               energy::Accountant *acct)
-    : _plan(plan), _config(config), _hier(hier), _backend(backend),
-      _acct(acct)
+                               mem::Hierarchy *hier, MemBackend *backend)
+    : _plan(plan), _config(config), _hier(hier), _backend(backend)
 {
     if (config.kind == ActorKind::Cgra) {
         _mappings.reserve(plan.partitions.size());
@@ -37,9 +35,8 @@ DataflowEngine::DataflowEngine(const OffloadPlan &plan,
         pp.assoc = 8;
         pp.latencyCycles = 1;
         pp.mshrs = 8;
-        pp.component = energy::Component::Acp;
         _privateCache = std::make_unique<mem::Cache>(
-            pp, acct,
+            pp,
             mem::Cache::Downstream(
                 [](void *ctx, mem::Addr a, bool w, sim::Tick t) {
                     auto *self = static_cast<DataflowEngine *>(ctx);
@@ -351,15 +348,11 @@ DataflowEngine::invoke(const std::vector<ArrayRef> &bindings,
         ac.kind = _config.kind;
         ac.cycleTick = cycle;
         ac.issueWidth = _config.issueWidth;
-        ac.instEnergyScale = _config.instEnergyScale;
         if (_config.kind == ActorKind::Cgra) {
             const cgra::CgraMapping &m =
                 _mappings[static_cast<std::size_t>(part.id)];
             ac.ii = m.ii;
             ac.scheduleDepth = m.scheduleDepth;
-            ac.energyComp = energy::Component::Cgra;
-        } else {
-            ac.energyComp = energy::Component::IOCore;
         }
         ac.cluster = compute_cluster;
         ac.trip = trip;
@@ -384,8 +377,8 @@ DataflowEngine::invoke(const std::vector<ArrayRef> &bindings,
 
         actors.push_back(std::make_unique<PartitionActor>(
             ac, std::move(ars), std::move(random), std::move(ins),
-            std::move(outs), param_values, _backend, _acct,
-            &_hier->mesh(), &_stats));
+            std::move(outs), param_values, _backend, &_hier->mesh(),
+            &_stats));
     }
 
     // Channel occupancy counter tracks: one counter per channel on its
@@ -463,6 +456,7 @@ DataflowEngine::invoke(const std::vector<ArrayRef> &bindings,
     for (const auto &actor : actors) {
         result.endTick = std::max(result.endTick, actor->finishTick());
         result.accelInsts += actor->instsExecuted();
+        result.accelPortOps += actor->portOps();
         result.memOps += actor->memOps();
     }
 

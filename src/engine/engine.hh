@@ -35,9 +35,9 @@ struct EngineConfig
     std::uint64_t accelClockHz = 2'000'000'000ULL;
     int issueWidth = 1;
     /**
-     * Energy events charged per instruction relative to the substrate
-     * default (Mono-CA's unconstrained monolithic accelerator burns
-     * more per instruction than a minimal in-order core).
+     * Per-instruction energy relative to the substrate default
+     * (Mono-CA's unconstrained monolithic accelerator burns more per
+     * instruction than a minimal in-order core).
      */
     double instEnergyScale = 1.0;
     bool swPrefetch = false;
@@ -73,6 +73,8 @@ struct InvokeResult
     /** (carry DFG node, final value) for kernel result carries. */
     std::vector<std::pair<int, compiler::Word>> results;
     double accelInsts = 0.0;
+    /** Channel produce/consume instructions among accelInsts. */
+    std::uint64_t accelPortOps = 0;
     double memOps = 0.0;
 };
 
@@ -82,7 +84,7 @@ class DataflowEngine
   public:
     DataflowEngine(const compiler::OffloadPlan &plan,
                    const EngineConfig &config, mem::Hierarchy *hier,
-                   MemBackend *backend, energy::Accountant *acct);
+                   MemBackend *backend);
 
     /**
      * Run the offload once: @p bindings maps kernel object ids to
@@ -100,6 +102,9 @@ class DataflowEngine
     {
         return _mappings;
     }
+
+    /** The Mono-CA private cache; null for other models. */
+    const mem::Cache *privateCache() const { return _privateCache.get(); }
 
     /** Total MMIO-visible configuration words per invocation. */
     int configWordsPerInvoke() const;
@@ -138,7 +143,6 @@ class DataflowEngine
     EngineConfig _config;
     mem::Hierarchy *_hier;
     MemBackend *_backend;
-    energy::Accountant *_acct;
     accel::AccessStats _stats;
     std::vector<cgra::CgraMapping> _mappings;
     std::unique_ptr<mem::Cache> _privateCache; ///< Mono-CA only

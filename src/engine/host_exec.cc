@@ -16,32 +16,27 @@ using compiler::PatternKind;
 using compiler::Word;
 
 HostExecutor::HostExecutor(const Kernel &kernel, mem::Hierarchy *hier,
-                           MemBackend *backend,
-                           energy::Accountant *acct,
-                           const HostParams &params)
+                           MemBackend *backend, const HostParams &params)
     : HostExecutor(kernel, compiler::classifyKernel(kernel),
-                   kernel.topoOrder(), hier, backend, acct, params,
-                   nullptr)
+                   kernel.topoOrder(), hier, backend, params, nullptr)
 {
 }
 
 HostExecutor::HostExecutor(
     std::shared_ptr<const compiler::OffloadPlan> plan,
-    mem::Hierarchy *hier, MemBackend *backend, energy::Accountant *acct,
-    const HostParams &params)
+    mem::Hierarchy *hier, MemBackend *backend, const HostParams &params)
     : HostExecutor(plan->kernel, plan->dep, plan->kernel.topoOrder(),
-                   hier, backend, acct, params, plan)
+                   hier, backend, params, plan)
 {
 }
 
 HostExecutor::HostExecutor(
     const Kernel &kernel, const compiler::DependenceInfo &dep,
     const std::vector<int> &topo, mem::Hierarchy *hier,
-    MemBackend *backend, energy::Accountant *acct,
-    const HostParams &params,
+    MemBackend *backend, const HostParams &params,
     std::shared_ptr<const compiler::OffloadPlan> plan)
     : _planRef(std::move(plan)), _kernel(kernel), _hier(hier),
-      _backend(backend), _acct(acct), _params(params),
+      _backend(backend), _params(params),
       _levels(static_cast<std::size_t>(dep.loadChainDepth) + 1),
       _memoryRecurrence(dep.hasMemoryRecurrence)
 {
@@ -255,8 +250,6 @@ HostExecutor::run(const std::vector<ArrayRef> &bindings,
         // access count equals one add per access.
         result.memOps += _memOpsPerIter;
         result.insts += _opsPerIter;
-        if (_acct)
-            _acct->addEvents(energy::Component::OoOCore, _opsPerIter);
     }
 
     for (int node : _kernel.resultCarries) {

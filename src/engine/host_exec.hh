@@ -15,7 +15,6 @@
 
 #include "src/compiler/dfg.hh"
 #include "src/compiler/plan.hh"
-#include "src/energy/energy_model.hh"
 #include "src/engine/backend.hh"
 #include "src/mem/hierarchy.hh"
 #include "src/offload/lifecycle.hh"
@@ -62,7 +61,7 @@ class HostExecutor
 {
   public:
     HostExecutor(const compiler::Kernel &kernel, mem::Hierarchy *hier,
-                 MemBackend *backend, energy::Accountant *acct,
+                 MemBackend *backend,
                  const HostParams &params = HostParams{});
 
     /**
@@ -72,7 +71,6 @@ class HostExecutor
      */
     HostExecutor(std::shared_ptr<const compiler::OffloadPlan> plan,
                  mem::Hierarchy *hier, MemBackend *backend,
-                 energy::Accountant *acct,
                  const HostParams &params = HostParams{});
 
     HostRunResult run(const std::vector<ArrayRef> &bindings,
@@ -116,8 +114,7 @@ class HostExecutor
     HostExecutor(const compiler::Kernel &kernel,
                  const compiler::DependenceInfo &dep,
                  const std::vector<int> &topo, mem::Hierarchy *hier,
-                 MemBackend *backend, energy::Accountant *acct,
-                 const HostParams &params,
+                 MemBackend *backend, const HostParams &params,
                  std::shared_ptr<const compiler::OffloadPlan> plan);
 
     /** Owned plan for the shared_ptr constructor; null when borrowed. */
@@ -125,7 +122,6 @@ class HostExecutor
     const compiler::Kernel &_kernel;
     mem::Hierarchy *_hier;
     MemBackend *_backend;
-    energy::Accountant *_acct;
     HostParams _params;
 
     std::vector<HostOp> _ops;

@@ -15,9 +15,8 @@ static_assert((strideTableEntries & (strideTableEntries - 1)) == 0,
               "the stride table is indexed with a mask");
 } // namespace
 
-Cache::Cache(const CacheParams &params, energy::Accountant *acct,
-             Downstream downstream)
-    : _params(params), _acct(acct), _downstream(std::move(downstream)),
+Cache::Cache(const CacheParams &params, Downstream downstream)
+    : _params(params), _downstream(std::move(downstream)),
       _clock(params.clockHz),
       _numSets(params.sizeBytes / lineBytes /
                static_cast<std::uint64_t>(params.assoc)),
@@ -100,9 +99,7 @@ Cache::replaceMshrRoot(sim::Tick done)
 CacheResult
 Cache::accessLine(Addr line_addr, bool write, sim::Tick now)
 {
-    _accesses += 1.0;
-    if (_acct)
-        _acct->addEvents(_params.component, 1.0);
+    ++_accesses;
 
     // MRU filter: skip the set walk when the last-hit line matches.
     const Addr key = lineNum(line_addr) + 1;
@@ -114,10 +111,10 @@ Cache::accessLine(Addr line_addr, bool write, sim::Tick now)
     }
 
     if (way != noWay) {
-        _hits += 1.0;
+        ++_hits;
         std::uint8_t &flags = _flags[way];
         if (flags & prefetchedFlag) {
-            _prefetchHits += 1.0;
+            ++_prefetchHits;
             flags &= static_cast<std::uint8_t>(~prefetchedFlag);
         }
         _mru = way;
@@ -131,7 +128,7 @@ Cache::accessLine(Addr line_addr, bool write, sim::Tick now)
         return CacheResult{true, _tagLat};
     }
 
-    _misses += 1.0;
+    ++_misses;
 
     // Occupy the earliest-free MSHR (the root of the _mshrFree
     // min-heap); queue when all are busy.
@@ -160,7 +157,7 @@ Cache::fillWay(std::size_t way, Addr line_addr, bool dirty,
 {
     // Invalid ways hold no flags, so only a valid dirty victim drains.
     if (_flags[way] & dirtyFlag) {
-        _writebacks += 1.0;
+        ++_writebacks;
         // Writeback is off the critical path; latency discarded.
         _downstream((_tags[way] - 1) * lineBytes, true, now);
     }
@@ -215,9 +212,7 @@ Cache::prefetch(Addr line_addr, sim::Tick now)
         const std::size_t base = setBase(target_addr);
         if (findWay(base, lineNum(target_addr) + 1) != noWay)
             continue;
-        _prefetches += 1.0;
-        if (_acct)
-            _acct->addEvents(_params.component, 1.0);
+        ++_prefetches;
         // Prefetch fills are off the demand critical path.
         fillWay(victimWay(base), target_addr, false, now, false);
     }
@@ -228,7 +223,7 @@ Cache::flush(sim::Tick now)
 {
     for (std::size_t w = 0; w < _tags.size(); ++w) {
         if (_flags[w] & dirtyFlag) {
-            _writebacks += 1.0;
+            ++_writebacks;
             _downstream((_tags[w] - 1) * lineBytes, true, now);
         }
         _tags[w] = 0;
@@ -246,21 +241,6 @@ Cache::exportStats(stats::Group &group) const
     group.add(p + "writebacks") = _writebacks;
     group.add(p + "prefetches") = _prefetches;
     group.add(p + "prefetch_hits") = _prefetchHits;
-}
-
-void
-Cache::reset()
-{
-    std::fill(_tags.begin(), _tags.end(), 0);
-    std::fill(_lru.begin(), _lru.end(), 0);
-    std::fill(_flags.begin(), _flags.end(), 0);
-    std::fill(_mshrFree.begin(), _mshrFree.end(), 0);
-    for (StrideEntry &e : _strideTable)
-        e = StrideEntry{};
-    _mru = 0;
-    _lruTick = 0;
-    _accesses = _hits = _misses = _writebacks = 0;
-    _prefetches = _prefetchHits = 0;
 }
 
 } // namespace distda::mem

@@ -19,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "src/energy/energy_model.hh"
 #include "src/mem/addr.hh"
 #include "src/sim/stats.hh"
 #include "src/sim/ticks.hh"
@@ -50,7 +49,6 @@ struct CacheParams
      * only a fraction of a bank's sets would ever be used.
      */
     bool setHash = false;
-    energy::Component component = energy::Component::L1;
 };
 
 /** Outcome of a single cache access. */
@@ -112,8 +110,7 @@ class Cache
         void *_ctx = nullptr;
     };
 
-    Cache(const CacheParams &params, energy::Accountant *acct,
-          Downstream downstream);
+    Cache(const CacheParams &params, Downstream downstream);
 
     const CacheParams &params() const { return _params; }
 
@@ -148,16 +145,17 @@ class Cache
     /** Invalidate every line (accelerator/host scope handoff). */
     void flush(sim::Tick now);
 
-    double accesses() const { return _accesses; }
-    double hits() const { return _hits; }
-    double misses() const { return _misses; }
-    double writebacks() const { return _writebacks; }
-    double prefetchesIssued() const { return _prefetches; }
+    std::uint64_t accesses() const { return _accesses; }
+    std::uint64_t hits() const { return _hits; }
+    std::uint64_t misses() const { return _misses; }
+    std::uint64_t writebacks() const { return _writebacks; }
+    std::uint64_t prefetchesIssued() const { return _prefetches; }
     /** Demand hits whose line was brought in by the prefetcher. */
-    double prefetchHits() const { return _prefetchHits; }
+    std::uint64_t prefetchHits() const { return _prefetchHits; }
+    /** Data-array accesses, the energy event: demand plus prefetch. */
+    std::uint64_t arrayAccesses() const { return _accesses + _prefetches; }
 
     void exportStats(stats::Group &group) const;
-    void reset();
 
     /**
      * Attach a timeline probe: demand misses emit "miss" spans on
@@ -216,7 +214,6 @@ class Cache
     void prefetch(Addr line_addr, sim::Tick now);
 
     CacheParams _params;
-    energy::Accountant *_acct;
     Downstream _downstream;
     sim::ClockDomain _clock;
     std::size_t _numSets;
@@ -253,8 +250,8 @@ class Cache
     };
     std::vector<StrideEntry> _strideTable;
 
-    double _accesses = 0, _hits = 0, _misses = 0, _writebacks = 0;
-    double _prefetches = 0, _prefetchHits = 0;
+    std::uint64_t _accesses = 0, _hits = 0, _misses = 0, _writebacks = 0;
+    std::uint64_t _prefetches = 0, _prefetchHits = 0;
 
     sim::Probe *_probe = nullptr;
     int _probeTrack = -1;

@@ -7,8 +7,8 @@
 namespace distda::mem
 {
 
-Dram::Dram(const DramParams &params, energy::Accountant *acct)
-    : _params(params), _acct(acct),
+Dram::Dram(const DramParams &params)
+    : _params(params),
       _openRow(static_cast<std::size_t>(params.banks), -1),
       _bankBusyUntil(static_cast<std::size_t>(params.banks), 0)
 {
@@ -28,10 +28,10 @@ Dram::access(Addr addr, bool write, sim::Tick now)
     sim::Tick access_lat = 0;
     if (_openRow[bank] == row) {
         access_lat = _params.tCl;
-        _rowHits += 1.0;
+        ++_rowHits;
     } else {
         access_lat = _params.tRp + _params.tRcd + _params.tCl;
-        _rowMisses += 1.0;
+        ++_rowMisses;
         _openRow[bank] = row;
     }
 
@@ -45,11 +45,9 @@ Dram::access(Addr addr, bool write, sim::Tick now)
     _busBusyUntil = done;
 
     if (write)
-        _writes += 1.0;
+        ++_writes;
     else
-        _reads += 1.0;
-    if (_acct)
-        _acct->addEvents(energy::Component::Dram, 1.0);
+        ++_reads;
 
     return done - now;
 }
@@ -61,15 +59,6 @@ Dram::exportStats(stats::Group &group) const
     group.add("dram.writes") = _writes;
     group.add("dram.row_hits") = _rowHits;
     group.add("dram.row_misses") = _rowMisses;
-}
-
-void
-Dram::reset()
-{
-    std::fill(_openRow.begin(), _openRow.end(), -1);
-    std::fill(_bankBusyUntil.begin(), _bankBusyUntil.end(), 0);
-    _busBusyUntil = 0;
-    _reads = _writes = _rowHits = _rowMisses = 0;
 }
 
 } // namespace distda::mem

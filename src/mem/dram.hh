@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/energy/energy_model.hh"
 #include "src/mem/addr.hh"
 #include "src/sim/stats.hh"
 #include "src/sim/ticks.hh"
@@ -37,7 +36,7 @@ struct DramParams
 class Dram
 {
   public:
-    Dram(const DramParams &params, energy::Accountant *acct);
+    explicit Dram(const DramParams &params);
 
     /**
      * Access one 64B line at @p addr.
@@ -45,21 +44,19 @@ class Dram
      */
     sim::Tick access(Addr addr, bool write, sim::Tick now);
 
-    double reads() const { return _reads; }
-    double writes() const { return _writes; }
-    double rowHits() const { return _rowHits; }
-    double rowMisses() const { return _rowMisses; }
+    std::uint64_t reads() const { return _reads; }
+    std::uint64_t writes() const { return _writes; }
+    std::uint64_t rowHits() const { return _rowHits; }
+    std::uint64_t rowMisses() const { return _rowMisses; }
 
     void exportStats(stats::Group &group) const;
-    void reset();
 
   private:
     DramParams _params;
-    energy::Accountant *_acct;
     std::vector<std::int64_t> _openRow;  ///< per-bank open row (-1 none)
     std::vector<sim::Tick> _bankBusyUntil;
     sim::Tick _busBusyUntil = 0;
-    double _reads = 0, _writes = 0, _rowHits = 0, _rowMisses = 0;
+    std::uint64_t _reads = 0, _writes = 0, _rowHits = 0, _rowMisses = 0;
 };
 
 } // namespace distda::mem

@@ -13,7 +13,6 @@ HierarchyParams::HierarchyParams()
     l1.assoc = 8;
     l1.latencyCycles = 2;
     l1.mshrs = 8;
-    l1.component = energy::Component::L1;
 
     l2.name = "l2";
     l2.sizeBytes = 128 * 1024;
@@ -21,7 +20,6 @@ HierarchyParams::HierarchyParams()
     l2.latencyCycles = 4;
     l2.mshrs = 16;
     l2.stridePrefetch = true;
-    l2.component = energy::Component::L2;
 
     acp.name = "acp";
     acp.sizeBytes = 1024;
@@ -30,7 +28,6 @@ HierarchyParams::HierarchyParams()
     // The ACP is a request port fronting a 64-MSHR L3 bank; its own
     // queue is deep enough not to throttle the fill FSMs.
     acp.mshrs = 32;
-    acp.component = energy::Component::Acp;
 }
 
 sim::Tick
@@ -45,21 +42,19 @@ Hierarchy::CacheDown::operator()(Addr a, bool w, sim::Tick t) const
     return next->access(a, lineBytes, w, t).latency;
 }
 
-Hierarchy::Hierarchy(const HierarchyParams &params,
-                     energy::Accountant *acct)
+Hierarchy::Hierarchy(const HierarchyParams &params)
 {
-    _mesh = std::make_unique<noc::Mesh>(params.mesh, acct);
-    _dram = std::make_unique<Dram>(params.dram, acct);
-    _l3 = std::make_unique<NucaL3>(params.l3, _mesh.get(), _dram.get(),
-                                   acct);
+    _mesh = std::make_unique<noc::Mesh>(params.mesh);
+    _dram = std::make_unique<Dram>(params.dram);
+    _l3 = std::make_unique<NucaL3>(params.l3, _mesh.get(), _dram.get());
 
     _l2Down = L3Down{_l3.get(), _mesh->hostNode(),
                      TrafficTag{noc::TrafficClass::Ctrl,
                                 noc::TrafficClass::Data}};
-    _l2 = std::make_unique<Cache>(params.l2, acct,
+    _l2 = std::make_unique<Cache>(params.l2,
                                   Cache::Downstream::of(_l2Down));
     _l1Down = CacheDown{_l2.get()};
-    _l1 = std::make_unique<Cache>(params.l1, acct,
+    _l1 = std::make_unique<Cache>(params.l1,
                                   Cache::Downstream::of(_l1Down));
 
     // Reserve first: the caches hold raw pointers into _acpDowns.
@@ -72,7 +67,7 @@ Hierarchy::Hierarchy(const HierarchyParams &params,
         CacheParams ap = params.acp;
         ap.name = "acp" + std::to_string(c);
         _acps.push_back(std::make_unique<Cache>(
-            ap, acct, Cache::Downstream::of(_acpDowns.back())));
+            ap, Cache::Downstream::of(_acpDowns.back())));
     }
 }
 
@@ -94,11 +89,11 @@ Hierarchy::accelAccess(Addr addr, std::uint32_t size, bool write,
                                                             write, now);
 }
 
-double
+std::uint64_t
 Hierarchy::cacheAccesses() const
 {
-    double total = _l1->accesses() + _l2->accesses() +
-                   _l3->totalAccesses();
+    std::uint64_t total = _l1->accesses() + _l2->accesses() +
+                          _l3->totalAccesses();
     for (const auto &a : _acps)
         total += a->accesses();
     return total;
@@ -112,7 +107,7 @@ Hierarchy::exportStats(stats::Group &group) const
     _l3->exportStats(group);
     _dram->exportStats(group);
     _mesh->exportStats(group);
-    double acp_acc = 0.0;
+    std::uint64_t acp_acc = 0;
     for (const auto &a : _acps)
         acp_acc += a->accesses();
     group.add("acp.accesses") = acp_acc;
@@ -138,18 +133,6 @@ Hierarchy::attachProbe(sim::Probe &probe)
     }
     _l3->attachProbe(probe);
     _mesh->setProbe(&probe);
-}
-
-void
-Hierarchy::reset()
-{
-    _l1->reset();
-    _l2->reset();
-    _l3->reset();
-    _dram->reset();
-    _mesh->reset();
-    for (auto &a : _acps)
-        a->reset();
 }
 
 } // namespace distda::mem

@@ -37,7 +37,7 @@ struct HierarchyParams
 class Hierarchy
 {
   public:
-    Hierarchy(const HierarchyParams &params, energy::Accountant *acct);
+    explicit Hierarchy(const HierarchyParams &params);
 
     noc::Mesh &mesh() { return *_mesh; }
     NucaL3 &l3() { return *_l3; }
@@ -61,10 +61,9 @@ class Hierarchy
      * Total cache accesses (L1 + L2 + L3 banks + ACPs), the Figure 8
      * metric.
      */
-    double cacheAccesses() const;
+    std::uint64_t cacheAccesses() const;
 
     void exportStats(stats::Group &group) const;
-    void reset();
 
     /**
      * Wire a per-run timeline probe through the whole memory system:

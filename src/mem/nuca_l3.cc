@@ -9,8 +9,7 @@
 namespace distda::mem
 {
 
-NucaL3::NucaL3(const NucaParams &params, noc::Mesh *mesh, Dram *dram,
-               energy::Accountant *acct)
+NucaL3::NucaL3(const NucaParams &params, noc::Mesh *mesh, Dram *dram)
     : _params(params), _pageShift(std::countr_zero(params.pageBytes)),
       _clusterMask(static_cast<std::uint64_t>(params.clusters) - 1),
       _mesh(mesh), _dram(dram)
@@ -33,9 +32,8 @@ NucaL3::NucaL3(const NucaParams &params, noc::Mesh *mesh, Dram *dram,
         bp.mshrs = params.mshrs;
         bp.clockHz = params.clockHz;
         bp.setHash = true;
-        bp.component = energy::Component::L3;
         _banks.push_back(std::make_unique<Cache>(
-            bp, acct,
+            bp,
             Cache::Downstream(
                 [](void *ctx, Addr a, bool w, sim::Tick t) {
                     return static_cast<Dram *>(ctx)->access(a, w, t);
@@ -121,23 +119,24 @@ NucaL3::access(Addr addr, std::uint32_t size, bool write, int src_node,
     return total;
 }
 
-double
+std::uint64_t
 NucaL3::totalAccesses() const
 {
-    double total = 0.0;
+    std::uint64_t total = 0;
     for (const auto &b : _banks)
         total += b->accesses();
     return total;
 }
 
-double
+std::uint64_t
 NucaL3::totalMisses() const
 {
-    double total = 0.0;
+    std::uint64_t total = 0;
     for (const auto &b : _banks)
         total += b->misses();
     return total;
 }
+
 
 void
 NucaL3::exportStats(stats::Group &group) const
@@ -160,14 +159,6 @@ NucaL3::attachProbe(sim::Probe &probe)
         _banks[static_cast<std::size_t>(c)]->setProbe(&probe, track,
                                                       &miss);
     }
-}
-
-void
-NucaL3::reset()
-{
-    for (auto &b : _banks)
-        b->reset();
-    _affinity.clear();
 }
 
 } // namespace distda::mem

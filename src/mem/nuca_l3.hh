@@ -52,8 +52,7 @@ struct TrafficTag
 class NucaL3
 {
   public:
-    NucaL3(const NucaParams &params, noc::Mesh *mesh, Dram *dram,
-           energy::Accountant *acct);
+    NucaL3(const NucaParams &params, noc::Mesh *mesh, Dram *dram);
 
     const NucaParams &params() const { return _params; }
 
@@ -81,12 +80,11 @@ class NucaL3
     }
 
     /** Total bank accesses across clusters. */
-    double totalAccesses() const;
+    std::uint64_t totalAccesses() const;
     /** Total bank misses across clusters. */
-    double totalMisses() const;
+    std::uint64_t totalMisses() const;
 
     void exportStats(stats::Group &group) const;
-    void reset();
 
     /**
      * Register one timeline track per bank (under its cluster's

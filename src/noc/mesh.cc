@@ -23,8 +23,8 @@ trafficClassName(TrafficClass c)
     }
 }
 
-Mesh::Mesh(const MeshParams &params, energy::Accountant *acct)
-    : _params(params), _acct(acct), _clock(params.clockHz),
+Mesh::Mesh(const MeshParams &params)
+    : _params(params), _clock(params.clockHz),
       _routerBusyUntil(static_cast<std::size_t>(numNodes()), 0)
 {
     if (params.cols < 1 || params.rows < 1)
@@ -87,7 +87,7 @@ Mesh::multicast(int src, const std::vector<int> &dsts, std::uint32_t bytes,
                         "multicast", now);
     }
 
-    // Build the set of unique links along the XY paths; energy and
+    // Build the set of unique links along the XY paths; hop flits and
     // bytes are charged once per unique link (tree forwarding).
     std::set<std::pair<int, int>> links;
     int max_hops = 0;
@@ -110,15 +110,11 @@ Mesh::multicast(int src, const std::vector<int> &dsts, std::uint32_t bytes,
     const auto idx = static_cast<std::size_t>(cls);
     _bytes[idx] += static_cast<double>(bytes) * links.size() /
                    std::max<std::size_t>(hops(src, dsts.front()), 1);
-    _packets[idx] += 1.0;
+    ++_packets[idx];
 
-    const double flits = static_cast<double>(
-        (bytes + _params.flitBytes - 1) >> _flitShift);
-    _totalHopFlits += flits * static_cast<double>(links.size());
-    if (_acct) {
-        _acct->addEvents(energy::Component::Noc,
-                         flits * static_cast<double>(links.size()));
-    }
+    const std::uint64_t flits =
+        (bytes + _params.flitBytes - 1) >> _flitShift;
+    _totalHopFlits += flits * links.size();
 
     const sim::Cycles ser_cycles =
         (bytes + _params.linkBytes - 1) >> _linkShift;
@@ -156,15 +152,6 @@ Mesh::exportStats(stats::Group &group) const
     }
     group.add("noc_bytes.total") = totalBytes();
     group.add("noc_hop_flits") = _totalHopFlits;
-}
-
-void
-Mesh::reset()
-{
-    _bytes.fill(0.0);
-    _packets.fill(0.0);
-    _totalHopFlits = 0.0;
-    std::fill(_routerBusyUntil.begin(), _routerBusyUntil.end(), 0);
 }
 
 } // namespace distda::noc

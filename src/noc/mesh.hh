@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/energy/energy_model.hh"
 #include "src/sim/logging.hh"
 #include "src/sim/stats.hh"
 #include "src/sim/ticks.hh"
@@ -68,7 +67,7 @@ struct TransferResult
 /**
  * The mesh NoC. Transfers are modeled as cut-through packets: latency =
  * hops * hopCycles + serialization, plus queueing when routers along the
- * path are busy. Bytes and energy are charged per traffic class.
+ * path are busy. Bytes and packets are counted per traffic class.
  *
  * Link and flit widths must be powers of two (the constructor rejects
  * others): packet serialization and flit counts are shifts, and hop
@@ -77,7 +76,7 @@ struct TransferResult
 class Mesh
 {
   public:
-    Mesh(const MeshParams &params, energy::Accountant *acct);
+    explicit Mesh(const MeshParams &params);
 
     const MeshParams &params() const { return _params; }
     int numNodes() const { return _params.cols * _params.rows; }
@@ -94,7 +93,7 @@ class Mesh
 
     /**
      * Inject a transfer of @p bytes from @p src to @p dst at @p now.
-     * Charges bytes/energy and returns delivery latency. Inline: every
+     * Counts bytes/hop flits and returns delivery latency. Inline: every
      * cross-cluster element and cache line rides through here.
      */
     TransferResult
@@ -104,7 +103,7 @@ class Mesh
         const int nhops = hops(src, dst);
         const auto idx = static_cast<std::size_t>(cls);
         _bytes[idx] += bytes;
-        _packets[idx] += 1.0;
+        ++_packets[idx];
 
         if (nhops == 0)
             return TransferResult{0, 0};
@@ -133,11 +132,9 @@ class Mesh
         src_busy = start + ser;
         dst_busy = start + ser;
 
-        const double flits = static_cast<double>(
-            (bytes + _params.flitBytes - 1) >> _flitShift);
-        _totalHopFlits += flits * nhops;
-        if (_acct)
-            _acct->addEvents(energy::Component::Noc, flits * nhops);
+        const std::uint64_t flits =
+            (bytes + _params.flitBytes - 1) >> _flitShift;
+        _totalHopFlits += flits * static_cast<std::uint64_t>(nhops);
 
         if (_probe)
             recordTransfer(src, nhops, bytes, cls, start, start + ser);
@@ -147,7 +144,7 @@ class Mesh
 
     /**
      * Multicast @p bytes from @p src to every node in @p dsts; the NoC
-     * forwards along a shared path where possible so energy is charged
+     * forwards along a shared path where possible so hop flits count
      * per unique link, not per destination.
      */
     TransferResult multicast(int src, const std::vector<int> &dsts,
@@ -161,13 +158,10 @@ class Mesh
     double totalBytes() const;
 
     /** Total flit-hops traversed (bytes x distance proxy). */
-    double hopFlits() const { return _totalHopFlits; }
+    std::uint64_t hopFlits() const { return _totalHopFlits; }
 
     /** Export traffic counters into @p group. */
     void exportStats(stats::Group &group) const;
-
-    /** Zero all counters and busy state. */
-    void reset();
 
     /**
      * Attach a timeline probe: every cross-node packet becomes a span
@@ -188,7 +182,6 @@ class Mesh
                         sim::Tick end);
 
     MeshParams _params;
-    energy::Accountant *_acct;
     sim::ClockDomain _clock;
     /** log2 of the power-of-two link and flit widths. */
     int _linkShift = 0;
@@ -199,10 +192,10 @@ class Mesh
     std::array<double,
                static_cast<std::size_t>(TrafficClass::NumClasses)>
         _bytes{};
-    std::array<double,
+    std::array<std::uint64_t,
                static_cast<std::size_t>(TrafficClass::NumClasses)>
         _packets{};
-    double _totalHopFlits = 0.0;
+    std::uint64_t _totalHopFlits = 0;
 
     sim::Probe *_probe = nullptr;
     std::vector<int> _nodeTracks;

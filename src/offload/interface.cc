@@ -82,9 +82,8 @@ AccelScheduler::bufOf(int access_id) const
     return it == _accessToBuf.end() ? -1 : it->second;
 }
 
-CoprocessorInterface::CoprocessorInterface(mem::Hierarchy *hier,
-                                           energy::Accountant *acct)
-    : _hier(hier), _acct(acct)
+CoprocessorInterface::CoprocessorInterface(mem::Hierarchy *hier)
+    : _hier(hier)
 {
 }
 
@@ -92,9 +91,7 @@ sim::Tick
 CoprocessorInterface::mmio(int cluster, std::uint32_t bytes,
                            sim::Tick now, bool posted)
 {
-    _mmioOps += 1.0;
-    if (_acct)
-        _acct->addEvents(energy::Component::Mmio, 1.0);
+    ++_mmioOps;
     const int host = _hier->mesh().hostNode();
     auto req = _hier->mesh().transfer(host, cluster, bytes,
                                       noc::TrafficClass::Ctrl, now);

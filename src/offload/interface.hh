@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "src/compiler/dfg.hh"
-#include "src/energy/energy_model.hh"
 #include "src/mem/hierarchy.hh"
 #include "src/offload/lifecycle.hh"
 
@@ -93,8 +92,7 @@ class AccelScheduler
 class CoprocessorInterface
 {
   public:
-    CoprocessorInterface(mem::Hierarchy *hier,
-                         energy::Accountant *acct);
+    explicit CoprocessorInterface(mem::Hierarchy *hier);
 
     AccelScheduler &scheduler() { return _sched; }
 
@@ -128,7 +126,7 @@ class CoprocessorInterface
     sim::Tick cpConsumeDone(int cluster, sim::Tick ready, sim::Tick now);
 
     /** MMIO operations issued so far (Table VI %init numerator). */
-    double mmioOps() const { return _mmioOps; }
+    std::uint64_t mmioOps() const { return _mmioOps; }
 
     /** Control bytes pushed for configurations. */
     double configBytes() const { return _configBytes; }
@@ -146,7 +144,7 @@ class CoprocessorInterface
 
   private:
     /**
-     * One MMIO intrinsic: energy + NoC control transfer. Posted
+     * One MMIO intrinsic: an MMIO op + NoC control transfer. Posted
      * writes (configs, cp_set_rf) cost the host one issue cycle;
      * synchronous intrinsics (cp_run, cp_load_rf) wait for the ack.
      */
@@ -158,10 +156,9 @@ class CoprocessorInterface
                         sim::Tick now, bool posted);
 
     mem::Hierarchy *_hier;
-    energy::Accountant *_acct;
     AccelScheduler _sched;
     OffloadRecord *_rec = nullptr;
-    double _mmioOps = 0.0;
+    std::uint64_t _mmioOps = 0;
     double _configBytes = 0.0;
 };
 

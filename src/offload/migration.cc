@@ -17,10 +17,9 @@ migrationPolicyName(MigrationPolicy p)
 }
 
 MemoryServiceLayer::MemoryServiceLayer(mem::Hierarchy *hier,
-                                       energy::Accountant *acct,
                                        MigrationPolicy policy,
                                        std::uint64_t seed)
-    : _hier(hier), _iface(hier, acct), _policy(policy), _rng(seed)
+    : _hier(hier), _iface(hier), _policy(policy), _rng(seed)
 {
 }
 

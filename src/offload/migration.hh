@@ -48,8 +48,7 @@ struct MigrationStats
 class MemoryServiceLayer
 {
   public:
-    MemoryServiceLayer(mem::Hierarchy *hier, energy::Accountant *acct,
-                       MigrationPolicy policy,
+    MemoryServiceLayer(mem::Hierarchy *hier, MigrationPolicy policy,
                        std::uint64_t seed = 1);
 
     /**
@@ -61,7 +60,7 @@ class MemoryServiceLayer
                       double operand, sim::Tick now);
 
     const MigrationStats &stats() const { return _stats; }
-    double mmioOps() const { return _iface.mmioOps(); }
+    std::uint64_t mmioOps() const { return _iface.mmioOps(); }
 
     /**
      * Per-task lifecycle breakdown (one OffloadRecord per runTask,

@@ -16,31 +16,30 @@ using compiler::Word;
 OffloadRuntime::OffloadRuntime(const compiler::OffloadPlan &plan,
                                const engine::EngineConfig &config,
                                mem::Hierarchy *hier,
-                               engine::MemBackend *backend,
-                               energy::Accountant *acct)
-    : _plan(plan), _engine(plan, config, hier, backend, acct),
-      _iface(hier, acct), _hier(hier)
+                               engine::MemBackend *backend)
+    : _plan(plan), _engine(plan, config, hier, backend), _iface(hier),
+      _hier(hier)
 {
 }
 
 OffloadRuntime::OffloadRuntime(
     std::shared_ptr<const compiler::OffloadPlan> plan,
     const engine::EngineConfig &config, mem::Hierarchy *hier,
-    engine::MemBackend *backend, energy::Accountant *acct)
+    engine::MemBackend *backend)
     : _planRef(std::move(plan)), _plan(*_planRef),
-      _engine(*_planRef, config, hier, backend, acct),
-      _iface(hier, acct), _hier(hier)
+      _engine(*_planRef, config, hier, backend), _iface(hier),
+      _hier(hier)
 {
 }
 
 std::unique_ptr<OffloadRuntime>
 instantiate(std::shared_ptr<const compiler::OffloadPlan> plan,
             const engine::EngineConfig &config, mem::Hierarchy *hier,
-            engine::MemBackend *backend, energy::Accountant *acct)
+            engine::MemBackend *backend)
 {
     DISTDA_ASSERT(plan != nullptr, "instantiate: null plan");
     return std::make_unique<OffloadRuntime>(std::move(plan), config,
-                                            hier, backend, acct);
+                                            hier, backend);
 }
 
 OffloadRunResult
@@ -170,6 +169,7 @@ OffloadRuntime::invoke(const std::vector<engine::ArrayRef> &bindings,
     result.endTick = done;
     result.results = std::move(inv.results);
     result.accelInsts = inv.accelInsts;
+    result.accelPortOps = inv.accelPortOps;
     result.memOps = inv.memOps;
     result.record = rec;
     return result;

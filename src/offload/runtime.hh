@@ -26,6 +26,7 @@ struct OffloadRunResult
     sim::Tick endTick = 0;
     std::vector<std::pair<int, compiler::Word>> results;
     double accelInsts = 0.0;
+    std::uint64_t accelPortOps = 0; ///< see engine::InvokeResult
     double memOps = 0.0;
     /**
      * Phase timing of this invocation (src/offload/lifecycle.hh);
@@ -42,8 +43,7 @@ class OffloadRuntime
     /** Borrowing binding: @p plan must outlive the runtime. */
     OffloadRuntime(const compiler::OffloadPlan &plan,
                    const engine::EngineConfig &config,
-                   mem::Hierarchy *hier, engine::MemBackend *backend,
-                   energy::Accountant *acct);
+                   mem::Hierarchy *hier, engine::MemBackend *backend);
 
     /**
      * Owning binding: shares the plan, so a PlanCache eviction (or a
@@ -51,8 +51,7 @@ class OffloadRuntime
      */
     OffloadRuntime(std::shared_ptr<const compiler::OffloadPlan> plan,
                    const engine::EngineConfig &config,
-                   mem::Hierarchy *hier, engine::MemBackend *backend,
-                   energy::Accountant *acct);
+                   mem::Hierarchy *hier, engine::MemBackend *backend);
 
     OffloadRunResult invoke(const std::vector<engine::ArrayRef> &bindings,
                             const std::vector<compiler::Word> &params,
@@ -65,7 +64,7 @@ class OffloadRuntime
 
     const engine::DataflowEngine &engine() const { return _engine; }
 
-    double mmioOps() const { return _iface.mmioOps(); }
+    std::uint64_t mmioOps() const { return _iface.mmioOps(); }
 
     /** Deallocate accelerator resources (end of the offload's reuse). */
     void release();
@@ -90,7 +89,7 @@ class OffloadRuntime
 std::unique_ptr<OffloadRuntime> instantiate(
     std::shared_ptr<const compiler::OffloadPlan> plan,
     const engine::EngineConfig &config, mem::Hierarchy *hier,
-    engine::MemBackend *backend, energy::Accountant *acct);
+    engine::MemBackend *backend);
 
 } // namespace distda::offload
 

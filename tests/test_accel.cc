@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include "src/accel/access_unit.hh"
-#include "src/energy/energy_model.hh"
 
 using namespace distda;
 using accel::AccessStats;
@@ -65,12 +64,10 @@ denseLoad(std::uint64_t total = 1024)
     return p;
 }
 
-energy::Accountant acctForMesh;
-
 noc::Mesh &
 sharedMesh()
 {
-    static noc::Mesh mesh(noc::MeshParams{}, &acctForMesh);
+    static noc::Mesh mesh(noc::MeshParams{});
     return mesh;
 }
 

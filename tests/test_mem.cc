@@ -53,9 +53,8 @@ smallCache()
 
 TEST(Cache, MissThenHit)
 {
-    energy::Accountant acct;
     FakeDownstream down;
-    mem::Cache cache(smallCache(), &acct, down.fn());
+    mem::Cache cache(smallCache(), down.fn());
 
     auto r1 = cache.access(0x1000, 8, false, 0);
     EXPECT_FALSE(r1.hit);
@@ -70,9 +69,8 @@ TEST(Cache, MissThenHit)
 
 TEST(Cache, LruEvictsOldest)
 {
-    energy::Accountant acct;
     FakeDownstream down;
-    mem::Cache cache(smallCache(), &acct, down.fn());
+    mem::Cache cache(smallCache(), down.fn());
 
     // Three lines mapping to the same set (8 sets, line 64B):
     // line numbers 0, 8, 16 -> set 0 with assoc 2.
@@ -87,9 +85,8 @@ TEST(Cache, LruEvictsOldest)
 
 TEST(Cache, DirtyEvictionWritesBack)
 {
-    energy::Accountant acct;
     FakeDownstream down;
-    mem::Cache cache(smallCache(), &acct, down.fn());
+    mem::Cache cache(smallCache(), down.fn());
 
     cache.access(0 * 64, 8, true, 0); // miss + dirty
     down.calls.clear();
@@ -104,9 +101,8 @@ TEST(Cache, DirtyEvictionWritesBack)
 
 TEST(Cache, FlushWritesDirtyAndInvalidates)
 {
-    energy::Accountant acct;
     FakeDownstream down;
-    mem::Cache cache(smallCache(), &acct, down.fn());
+    mem::Cache cache(smallCache(), down.fn());
     cache.access(0x0, 8, true, 0);
     down.calls.clear();
     cache.flush(1000);
@@ -117,9 +113,8 @@ TEST(Cache, FlushWritesDirtyAndInvalidates)
 
 TEST(Cache, MshrsQueueConcurrentMisses)
 {
-    energy::Accountant acct;
     FakeDownstream down;
-    mem::Cache cache(smallCache(), &acct, down.fn()); // 2 MSHRs
+    mem::Cache cache(smallCache(), down.fn()); // 2 MSHRs
 
     // Three misses at the same instant: the third waits for a slot.
     auto a = cache.access(0 * 64, 8, false, 0);
@@ -132,11 +127,10 @@ TEST(Cache, MshrsQueueConcurrentMisses)
 
 TEST(Cache, VictimIsFirstInvalidWayBeforeLru)
 {
-    energy::Accountant acct;
     FakeDownstream down;
     mem::CacheParams p = smallCache();
     p.assoc = 4; // 4 sets; lines 0, 4, 8, 12, 16 share set 0
-    mem::Cache cache(p, &acct, down.fn());
+    mem::Cache cache(p, down.fn());
 
     cache.access(0 * 64, 8, false, 0);      // way 0
     cache.access(4 * 64, 8, false, 100000); // way 1
@@ -161,11 +155,10 @@ TEST(Cache, MshrQueueTakesEarliestFreeSlot)
     // with per-miss downstream latencies; the tag latency is 1 cycle
     // (500 ticks). A queued miss starts when the earliest-free MSHR
     // frees, which is not the one written last.
-    energy::Accountant acct;
     FakeDownstream down;
     mem::CacheParams p = smallCache();
     p.mshrs = 3;
-    mem::Cache cache(p, &acct, down.fn());
+    mem::Cache cache(p, down.fn());
     const auto miss = [&](Addr line, sim::Tick lat) {
         down.latency = lat;
         const auto r = cache.access(line * 64, 8, false, 0);
@@ -184,9 +177,8 @@ TEST(Cache, MshrQueueTakesEarliestFreeSlot)
 
 TEST(Cache, MultiLineAccessTouchesEachLine)
 {
-    energy::Accountant acct;
     FakeDownstream down;
-    mem::Cache cache(smallCache(), &acct, down.fn());
+    mem::Cache cache(smallCache(), down.fn());
     cache.access(0, 256, false, 0); // 4 lines
     EXPECT_EQ(cache.accesses(), 4.0);
     EXPECT_EQ(down.calls.size(), 4u);
@@ -194,12 +186,11 @@ TEST(Cache, MultiLineAccessTouchesEachLine)
 
 TEST(Cache, StridePrefetcherFetchesAhead)
 {
-    energy::Accountant acct;
     FakeDownstream down;
     mem::CacheParams p = smallCache();
     p.sizeBytes = 8 * 1024;
     p.stridePrefetch = true;
-    mem::Cache cache(p, &acct, down.fn());
+    mem::Cache cache(p, down.fn());
 
     // A steady +1-line stride stream trains after 2 confirmations.
     sim::Tick now = 0;
@@ -217,11 +208,10 @@ TEST(Cache, MruFilterSelfInvalidatesOnEviction)
     // Direct-mapped so a conflicting line reuses the exact Line slot
     // the MRU filter points at: a stale filter entry must re-probe,
     // never produce a false hit.
-    energy::Accountant acct;
     FakeDownstream down;
     mem::CacheParams p = smallCache();
     p.assoc = 1; // 16 sets; lines 0 and 16 collide in set 0
-    mem::Cache cache(p, &acct, down.fn());
+    mem::Cache cache(p, down.fn());
 
     cache.access(0 * 64, 8, false, 0);       // miss, fills set 0
     auto hit = cache.access(0 * 64, 8, false, 100000); // MRU hit
@@ -235,12 +225,11 @@ TEST(Cache, MruFilterSelfInvalidatesOnEviction)
 
 TEST(Cache, PrefetchHitsCountOncePerPrefetchedLine)
 {
-    energy::Accountant acct;
     FakeDownstream down;
     mem::CacheParams p = smallCache();
     p.sizeBytes = 8 * 1024;
     p.stridePrefetch = true;
-    mem::Cache cache(p, &acct, down.fn());
+    mem::Cache cache(p, down.fn());
 
     // Train a +1-line stride until the prefetcher runs ahead.
     sim::Tick now = 0;
@@ -264,13 +253,12 @@ TEST(Cache, SetHashSpreadsInterleavedPages)
 {
     // Without hashing, lines at page stride x8 collide into few sets;
     // with hashing a working set smaller than capacity must fit.
-    energy::Accountant acct;
     FakeDownstream down;
     mem::CacheParams p;
     p.sizeBytes = 256 * 1024;
     p.assoc = 16;
     p.setHash = true;
-    mem::Cache cache(p, &acct, down.fn());
+    mem::Cache cache(p, down.fn());
 
     // 256KB worth of lines spaced as cluster-0 pages (every 8th 4KB
     // page), i.e. the NUCA bank's view.
@@ -289,8 +277,7 @@ TEST(Cache, SetHashSpreadsInterleavedPages)
 
 TEST(Dram, RowHitsAreFaster)
 {
-    energy::Accountant acct;
-    mem::Dram dram(mem::DramParams{}, &acct);
+    mem::Dram dram(mem::DramParams{});
     const sim::Tick miss = dram.access(0, false, 0);
     const sim::Tick hit = dram.access(64, false, miss + 1000000);
     EXPECT_LT(hit, miss);
@@ -300,9 +287,8 @@ TEST(Dram, RowHitsAreFaster)
 
 TEST(Dram, BankConflictSerializes)
 {
-    energy::Accountant acct;
     mem::DramParams p;
-    mem::Dram dram(p, &acct);
+    mem::Dram dram(p);
     // Same bank, different rows, at the same instant.
     const Addr row_a = 0;
     const Addr row_b = static_cast<Addr>(p.rowBytes) *
@@ -312,14 +298,13 @@ TEST(Dram, BankConflictSerializes)
     EXPECT_GT(b, a);
 }
 
-TEST(Dram, EnergyChargedPerLine)
+TEST(Dram, CountsEveryLine)
 {
-    energy::Accountant acct;
-    mem::Dram dram(mem::DramParams{}, &acct);
+    mem::Dram dram(mem::DramParams{});
     dram.access(0, false, 0);
     dram.access(4096, true, 0);
-    EXPECT_DOUBLE_EQ(acct.componentPj(energy::Component::Dram),
-                     2.0 * acct.params().dramLinePj);
+    EXPECT_EQ(dram.reads(), 1u);
+    EXPECT_EQ(dram.writes(), 1u);
 }
 
 TEST(Slab, RoundsToClassesAndRecycles)
@@ -405,10 +390,9 @@ TEST(ObjectTable, OutOfRangePanics)
 
 TEST(Nuca, PageInterleaveCoversAllClusters)
 {
-    energy::Accountant acct;
-    noc::Mesh mesh(noc::MeshParams{}, &acct);
-    mem::Dram dram(mem::DramParams{}, &acct);
-    mem::NucaL3 l3(mem::NucaParams{}, &mesh, &dram, &acct);
+    noc::Mesh mesh(noc::MeshParams{});
+    mem::Dram dram(mem::DramParams{});
+    mem::NucaL3 l3(mem::NucaParams{}, &mesh, &dram);
     const Addr granule = mem::NucaParams{}.pageBytes;
     std::set<int> clusters;
     for (Addr page = 0; page < 64; ++page)
@@ -421,10 +405,9 @@ TEST(Nuca, PageInterleaveCoversAllClusters)
 
 TEST(Nuca, AffinityOverridesInterleave)
 {
-    energy::Accountant acct;
-    noc::Mesh mesh(noc::MeshParams{}, &acct);
-    mem::Dram dram(mem::DramParams{}, &acct);
-    mem::NucaL3 l3(mem::NucaParams{}, &mesh, &dram, &acct);
+    noc::Mesh mesh(noc::MeshParams{});
+    mem::Dram dram(mem::DramParams{});
+    mem::NucaL3 l3(mem::NucaParams{}, &mesh, &dram);
     l3.setAffinity(0x10000, 64 * 1024, 5);
     for (Addr a = 0x10000; a < 0x10000 + 64 * 1024; a += 4096)
         EXPECT_EQ(l3.clusterOf(a), 5);
@@ -435,10 +418,9 @@ TEST(Nuca, AffinityOverridesInterleave)
 
 TEST(Nuca, RemoteAccessRidesNoc)
 {
-    energy::Accountant acct;
-    noc::Mesh mesh(noc::MeshParams{}, &acct);
-    mem::Dram dram(mem::DramParams{}, &acct);
-    mem::NucaL3 l3(mem::NucaParams{}, &mesh, &dram, &acct);
+    noc::Mesh mesh(noc::MeshParams{});
+    mem::Dram dram(mem::DramParams{});
+    mem::NucaL3 l3(mem::NucaParams{}, &mesh, &dram);
     const Addr a = 0x9000; // page 9 -> cluster 1
     const int home = l3.clusterOf(a);
     const int remote = (home + 4) % 8;
@@ -456,25 +438,23 @@ TEST(Nuca, RemoteAccessRidesNoc)
 
 TEST(Nuca, NonPowerOfTwoGeometryIsFatal)
 {
-    energy::Accountant acct;
-    mem::Dram dram(mem::DramParams{}, &acct);
+    mem::Dram dram(mem::DramParams{});
     noc::MeshParams six;
     six.cols = 3; // 3x2: six clusters
-    noc::Mesh mesh6(six, &acct);
+    noc::Mesh mesh6(six);
     mem::NucaParams p6;
     p6.clusters = 6;
-    EXPECT_PANIC(mem::NucaL3(p6, &mesh6, &dram, &acct), "powers of two");
-    noc::Mesh mesh(noc::MeshParams{}, &acct);
+    EXPECT_PANIC(mem::NucaL3(p6, &mesh6, &dram), "powers of two");
+    noc::Mesh mesh(noc::MeshParams{});
     mem::NucaParams page;
     page.pageBytes = 12288;
-    EXPECT_PANIC(mem::NucaL3(page, &mesh, &dram, &acct),
+    EXPECT_PANIC(mem::NucaL3(page, &mesh, &dram),
                  "powers of two");
 }
 
 TEST(Hierarchy, HostWalkCountsEveryLevel)
 {
-    energy::Accountant acct;
-    mem::Hierarchy hier(mem::HierarchyParams{}, &acct);
+    mem::Hierarchy hier(mem::HierarchyParams{});
     hier.hostAccess(0x4000, 8, false, 0);
     EXPECT_EQ(hier.l1().accesses(), 1.0);
     EXPECT_EQ(hier.l1().misses(), 1.0);
@@ -491,8 +471,7 @@ TEST(Hierarchy, HostWalkCountsEveryLevel)
 
 TEST(Hierarchy, AccelPathSkipsL1L2)
 {
-    energy::Accountant acct;
-    mem::Hierarchy hier(mem::HierarchyParams{}, &acct);
+    mem::Hierarchy hier(mem::HierarchyParams{});
     hier.accelAccess(0x4000, 64, false, 2, 0);
     EXPECT_EQ(hier.l1().accesses(), 0.0);
     EXPECT_EQ(hier.l2().accesses(), 0.0);
@@ -502,8 +481,7 @@ TEST(Hierarchy, AccelPathSkipsL1L2)
 
 TEST(Hierarchy, CacheAccessTotalsSum)
 {
-    energy::Accountant acct;
-    mem::Hierarchy hier(mem::HierarchyParams{}, &acct);
+    mem::Hierarchy hier(mem::HierarchyParams{});
     hier.hostAccess(0x4000, 8, false, 0);
     hier.accelAccess(0x8000, 64, false, 1, 0);
     EXPECT_DOUBLE_EQ(hier.cacheAccesses(),

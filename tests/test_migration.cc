@@ -56,7 +56,7 @@ runPolicy(MigrationPolicy policy)
     for (std::uint64_t i = 0; i < n; ++i)
         arr.setF(i, 1e9);
 
-    MemoryServiceLayer svc(&sys.hier(), &sys.acct(), policy);
+    MemoryServiceLayer svc(&sys.hier(), policy);
     sim::Tick now = 0;
     for (const auto &t : makeTasks(4096, n))
         now = svc.runTask(arr, t.idx, t.operand, now);

@@ -2,8 +2,8 @@
  * @file
  * Unit tests for the mesh NoC: XY routing properties over every node
  * pair, latency/serialization behaviour, traffic-class byte
- * conservation, multicast link sharing and the energy charge per
- * flit-hop.
+ * conservation, multicast link sharing and the flit-hop count that
+ * NoC energy is priced from.
  */
 
 #include <gtest/gtest.h>
@@ -17,17 +17,16 @@ namespace
 {
 
 noc::Mesh
-makeMesh(energy::Accountant *acct)
+makeMesh()
 {
-    return noc::Mesh(noc::MeshParams{}, acct);
+    return noc::Mesh(noc::MeshParams{});
 }
 
 } // namespace
 
 TEST(Mesh, HopCountIsManhattanDistance)
 {
-    energy::Accountant acct;
-    auto mesh = makeMesh(&acct);
+    auto mesh = makeMesh();
     for (int a = 0; a < 8; ++a) {
         for (int b = 0; b < 8; ++b) {
             const int ax = a % 4, ay = a / 4;
@@ -41,13 +40,12 @@ TEST(Mesh, HopCountIsManhattanDistance)
 
 TEST(Mesh, HopTableMatchesManhattanOnEveryGeometry)
 {
-    energy::Accountant acct;
     for (const auto &[cols, rows] :
          {std::make_pair(4, 2), std::make_pair(8, 8)}) {
         noc::MeshParams p;
         p.cols = cols;
         p.rows = rows;
-        const noc::Mesh mesh(p, &acct);
+        const noc::Mesh mesh(p);
         for (int a = 0; a < cols * rows; ++a) {
             for (int b = 0; b < cols * rows; ++b) {
                 EXPECT_EQ(mesh.hops(a, b),
@@ -61,31 +59,28 @@ TEST(Mesh, HopTableMatchesManhattanOnEveryGeometry)
 
 TEST(Mesh, NonPowerOfTwoWidthsAreFatal)
 {
-    energy::Accountant acct;
     noc::MeshParams link;
     link.linkBytes = 12;
-    EXPECT_PANIC(noc::Mesh(link, &acct), "powers of two");
+    EXPECT_PANIC(noc::Mesh{link}, "powers of two");
     noc::MeshParams flit;
     flit.flitBytes = 6;
-    EXPECT_PANIC(noc::Mesh(flit, &acct), "powers of two");
+    EXPECT_PANIC(noc::Mesh{flit}, "powers of two");
 }
 
 TEST(Mesh, LocalDeliveryIsFree)
 {
-    energy::Accountant acct;
-    auto mesh = makeMesh(&acct);
+    auto mesh = makeMesh();
     auto r = mesh.transfer(3, 3, 64, noc::TrafficClass::Data, 0);
     EXPECT_EQ(r.latency, 0u);
     EXPECT_EQ(r.hops, 0);
     // Bytes are still accounted (the class totals feed Fig 9/10).
     EXPECT_DOUBLE_EQ(mesh.bytesInClass(noc::TrafficClass::Data), 64.0);
-    EXPECT_DOUBLE_EQ(acct.componentPj(energy::Component::Noc), 0.0);
+    EXPECT_EQ(mesh.hopFlits(), 0u);
 }
 
 TEST(Mesh, LatencyGrowsWithDistanceAndSize)
 {
-    energy::Accountant acct;
-    auto mesh = makeMesh(&acct);
+    auto mesh = makeMesh();
     const auto near = mesh.transfer(0, 1, 8, noc::TrafficClass::Data,
                                     0);
     const auto far = mesh.transfer(0, 7, 8, noc::TrafficClass::Data,
@@ -100,8 +95,7 @@ TEST(Mesh, LatencyGrowsWithDistanceAndSize)
 
 TEST(Mesh, ClassesAccountedSeparately)
 {
-    energy::Accountant acct;
-    auto mesh = makeMesh(&acct);
+    auto mesh = makeMesh();
     mesh.transfer(0, 1, 10, noc::TrafficClass::Ctrl, 0);
     mesh.transfer(0, 1, 20, noc::TrafficClass::Data, 0);
     mesh.transfer(0, 1, 30, noc::TrafficClass::AccCtrl, 0);
@@ -115,20 +109,17 @@ TEST(Mesh, ClassesAccountedSeparately)
     EXPECT_DOUBLE_EQ(mesh.totalBytes(), 100.0);
 }
 
-TEST(Mesh, EnergyPerFlitHop)
+TEST(Mesh, HopFlitsPerTransfer)
 {
-    energy::Accountant acct;
-    auto mesh = makeMesh(&acct);
+    auto mesh = makeMesh();
     // 16 bytes = 2 flits over 2 hops.
     mesh.transfer(0, 2, 16, noc::TrafficClass::Data, 0);
-    EXPECT_DOUBLE_EQ(acct.componentPj(energy::Component::Noc),
-                     2.0 * 2.0 * acct.params().nocHopFlitPj);
+    EXPECT_EQ(mesh.hopFlits(), 2u * 2u);
 }
 
 TEST(Mesh, ContentionDelaysBackToBackTransfers)
 {
-    energy::Accountant acct;
-    auto mesh = makeMesh(&acct);
+    auto mesh = makeMesh();
     const auto first = mesh.transfer(0, 3, 512,
                                      noc::TrafficClass::Data, 0);
     const auto second = mesh.transfer(0, 3, 512,
@@ -136,40 +127,23 @@ TEST(Mesh, ContentionDelaysBackToBackTransfers)
     EXPECT_GT(second.latency, first.latency);
 }
 
-TEST(Mesh, ResetClearsCountersAndBusyState)
-{
-    energy::Accountant acct;
-    auto mesh = makeMesh(&acct);
-    mesh.transfer(0, 3, 512, noc::TrafficClass::Data, 0);
-    mesh.reset();
-    EXPECT_DOUBLE_EQ(mesh.totalBytes(), 0.0);
-    const auto again = mesh.transfer(0, 3, 512,
-                                     noc::TrafficClass::Data, 0);
-    const auto fresh_mesh_latency =
-        makeMesh(&acct).transfer(0, 3, 512, noc::TrafficClass::Data, 0)
-            .latency;
-    EXPECT_EQ(again.latency, fresh_mesh_latency);
-}
-
 TEST(Mesh, MulticastChargesSharedLinksOnce)
 {
-    energy::Accountant acct1, acct2;
-    auto m1 = makeMesh(&acct1);
-    auto m2 = makeMesh(&acct2);
+    auto m1 = makeMesh();
+    auto m2 = makeMesh();
     // Destinations along one path share every link.
     m1.multicast(0, {1, 2, 3}, 8, noc::TrafficClass::AccData, 0);
     // Equivalent unicasts traverse 1+2+3 = 6 hops.
     m2.transfer(0, 1, 8, noc::TrafficClass::AccData, 0);
     m2.transfer(0, 2, 8, noc::TrafficClass::AccData, 0);
     m2.transfer(0, 3, 8, noc::TrafficClass::AccData, 0);
-    EXPECT_LT(acct1.componentPj(energy::Component::Noc),
-              acct2.componentPj(energy::Component::Noc));
+    EXPECT_EQ(m1.hopFlits(), 3u);
+    EXPECT_EQ(m2.hopFlits(), 6u);
 }
 
 TEST(Mesh, BadNodePanics)
 {
-    energy::Accountant acct;
-    auto mesh = makeMesh(&acct);
+    auto mesh = makeMesh();
     EXPECT_DEATH((void)mesh.hops(0, 8), "node");
 }
 
@@ -180,8 +154,7 @@ class MeshGeometry
 
 TEST_P(MeshGeometry, TriangleInequalityOnHops)
 {
-    energy::Accountant acct;
-    auto mesh = makeMesh(&acct);
+    auto mesh = makeMesh();
     const auto [a, b] = GetParam();
     for (int mid = 0; mid < 8; ++mid) {
         EXPECT_LE(mesh.hops(a, b),

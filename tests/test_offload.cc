@@ -80,26 +80,22 @@ TEST(Scheduler, CombineRuleBoundary)
     EXPECT_FALSE(AccelScheduler::shouldCombine(-1, 4096));
 }
 
-TEST(Interface, MmioOpsAndEnergyCounted)
+TEST(Interface, MmioOpsCounted)
 {
-    energy::Accountant acct;
-    mem::Hierarchy hier(mem::HierarchyParams{}, &acct);
-    CoprocessorInterface iface(&hier, &acct);
+    mem::Hierarchy hier(mem::HierarchyParams{});
+    CoprocessorInterface iface(&hier);
     sim::Tick t = 0;
     t = iface.cpConfig(3, 128, t);
     t = iface.cpSetRf(3, 0, Word{}, t);
     t = iface.cpRun(3, t);
-    EXPECT_DOUBLE_EQ(iface.mmioOps(), 3.0);
-    EXPECT_DOUBLE_EQ(acct.componentPj(energy::Component::Mmio),
-                     3.0 * acct.params().mmioPj);
+    EXPECT_EQ(iface.mmioOps(), 3u);
     EXPECT_DOUBLE_EQ(iface.configBytes(), 128.0);
 }
 
 TEST(Interface, PostedWritesAreCheapSyncOpsWait)
 {
-    energy::Accountant acct;
-    mem::Hierarchy hier(mem::HierarchyParams{}, &acct);
-    CoprocessorInterface iface(&hier, &acct);
+    mem::Hierarchy hier(mem::HierarchyParams{});
+    CoprocessorInterface iface(&hier);
     const sim::Tick posted = iface.cpSetRf(7, 0, Word{}, 0);
     EXPECT_EQ(posted, 500u); // one host issue cycle
     const sim::Tick sync = iface.cpRun(7, 1000000);
@@ -108,9 +104,8 @@ TEST(Interface, PostedWritesAreCheapSyncOpsWait)
 
 TEST(Interface, ConfigTrafficRidesCtrlClass)
 {
-    energy::Accountant acct;
-    mem::Hierarchy hier(mem::HierarchyParams{}, &acct);
-    CoprocessorInterface iface(&hier, &acct);
+    mem::Hierarchy hier(mem::HierarchyParams{});
+    CoprocessorInterface iface(&hier);
     iface.cpConfig(5, 256, 0);
     EXPECT_GT(hier.mesh().bytesInClass(noc::TrafficClass::Ctrl),
               256.0);
@@ -150,7 +145,7 @@ TEST(Runtime, AllocatesOnceParamsEveryInvocation)
     driver::RunConfig cfg;
     cfg.model = driver::ArchModel::DistDA_IO;
     offload::OffloadRuntime rt(plan, cfg.engineConfig(), &sys.hier(),
-                               &sys.backend(), &sys.acct());
+                               &sys.backend());
 
     auto r1 = rt.invoke({arr_a, arr_b},
                         {driver::ExecContext::wf(2.0)}, 0);
@@ -177,7 +172,7 @@ TEST(Runtime, ReleaseForcesReallocation)
     driver::RunConfig cfg;
     cfg.model = driver::ArchModel::DistDA_IO;
     offload::OffloadRuntime rt(plan, cfg.engineConfig(), &sys.hier(),
-                               &sys.backend(), &sys.acct());
+                               &sys.backend());
     auto r1 = rt.invoke({arr_a, arr_b},
                         {driver::ExecContext::wf(1.0)}, 0);
     const double first = rt.mmioOps();
@@ -210,7 +205,7 @@ TEST(Runtime, ResultCarriesReadBack)
     driver::RunConfig cfg;
     cfg.model = driver::ArchModel::DistDA_IO;
     offload::OffloadRuntime rt(plan, cfg.engineConfig(), &sys.hier(),
-                               &sys.backend(), &sys.acct());
+                               &sys.backend());
     auto res = rt.invoke({arr}, {}, 0);
     ASSERT_EQ(res.results.size(), 1u);
     EXPECT_DOUBLE_EQ(res.results[0].second.f, 128.0);
@@ -299,7 +294,7 @@ TEST(Runtime, LifecycleRecordsCoverEveryPhaseAndConserve)
     driver::RunConfig cfg;
     cfg.model = driver::ArchModel::DistDA_IO;
     offload::OffloadRuntime rt(plan, cfg.engineConfig(), &sys.hier(),
-                               &sys.backend(), &sys.acct());
+                               &sys.backend());
 
     auto r1 = rt.invoke({arr_a, arr_b},
                         {driver::ExecContext::wf(2.0)}, 0);
@@ -345,7 +340,7 @@ TEST(Runtime, LifecycleCompletePhaseCoversResultReadback)
     driver::RunConfig cfg;
     cfg.model = driver::ArchModel::DistDA_IO;
     offload::OffloadRuntime rt(plan, cfg.engineConfig(), &sys.hier(),
-                               &sys.backend(), &sys.acct());
+                               &sys.backend());
     auto res = rt.invoke({arr}, {}, 0);
     EXPECT_TRUE(res.record.conserved());
     // The sync phases (Dispatch, Complete) and the done-token wait
@@ -361,7 +356,7 @@ TEST(Interface, SyncIntrinsicsAttributePhasesAtDistance)
     setInformEnabled(false);
     driver::SystemParams sp;
     driver::System sys(sp);
-    CoprocessorInterface iface(&sys.hier(), &sys.acct());
+    CoprocessorInterface iface(&sys.hier());
 
     // Pick the cluster farthest from the host so every synchronous
     // MMIO pays NoC hops in both directions.

@@ -310,6 +310,15 @@ TEST(PlanIo, ValidatorFlagsCorruptedFields)
         // -1 there; 4294967295 used to load as -1 and validate.
         {"addrInput value 4294967295 out of range", [](OffloadPlan &) {},
          set_token("node 0 memobject ", 10, "4294967295")},
+        // Unsigned fields neither narrow nor wrap: both used to load
+        // as 8-byte elements and validate.
+        {"kobject bytes value 4294967304 out of range",
+         [](OffloadPlan &) {},
+         set_token("kobject 0 ", 3, "4294967304")},
+        {"bad unsigned field kobject bytes", [](OffloadPlan &) {},
+         set_token("kobject 0 ", 3, "-18446744073709551608")},
+        {"channel bits value 4294967304 out of range",
+         [](OffloadPlan &) {}, set_token("channel 0 ", 5, "4294967304")},
     };
     for (const auto &row : rows) {
         OffloadPlan p = plan;

@@ -397,7 +397,7 @@ constructActor(const Partition &part)
     std::vector<engine::Channel *> outs(part.outChannels.size(),
                                         nullptr);
     engine::PartitionActor actor(acfg, accs, nullptr, ins, outs, {},
-                                 nullptr, nullptr, nullptr, nullptr);
+                                 nullptr, nullptr, nullptr);
 }
 
 } // namespace
@@ -430,7 +430,7 @@ TEST(VerifyEngine, ChannelTopologyMatchesPlan)
     const OffloadPlan plan = distStreamPlan();
     engine::EngineConfig ecfg;
     ecfg.channelCapacity = 16;
-    engine::DataflowEngine eng(plan, ecfg, nullptr, nullptr, nullptr);
+    engine::DataflowEngine eng(plan, ecfg, nullptr, nullptr);
     const auto edges = eng.channelTopology();
     ASSERT_EQ(edges.size(), plan.channels.size());
     for (std::size_t i = 0; i < edges.size(); ++i) {

@@ -4,22 +4,7 @@
  * every execution path, cross-check, and shrink failures to minimal
  * .repro files.
  *
- * Usage:
- *   distda_fuzz [--seed=<n>] [--runs=<k>] [--jobs=<n>]
- *               [--shape=parallel|pipeline|nonpart|multi|cross|mixed]
- *               [--out=<dir>] [--no-shrink] [--no-cgra] [--no-mono]
- *               [--no-analyze] [--no-replan] [--quiet]
- *   distda_fuzz --replay=<file.repro>
- *   distda_fuzz --corpus=<dir>
- *
- * Campaign mode (the default) derives one case per run from --seed,
- * runs the differential oracle and, on failure, minimizes the case and
- * (with --out=) writes it as <dir>/fuzz-seed<seed>-run<run>.repro.
- * Exit status is the number of failing runs (clamped to 125).
- *
- * --replay= re-runs one saved reproducer and prints the full report.
- * --corpus= replays every *.repro under a directory (sorted), the way
- * scripts/check.sh pins past counterexamples as regression tests.
+ * Usage and flags: usageText below, which --help prints.
  */
 
 #include <algorithm>
@@ -37,6 +22,24 @@ using namespace distda;
 
 namespace
 {
+
+constexpr const char *usageText = R"usage(Usage:
+  distda_fuzz [--seed=<n>] [--runs=<k>] [--jobs=<n>]
+              [--shape=parallel|pipeline|nonpart|multi|cross|mixed]
+              [--out=<dir>] [--no-shrink] [--no-cgra] [--no-mono]
+              [--no-analyze] [--no-replan] [--quiet]
+  distda_fuzz --replay=<file.repro>
+  distda_fuzz --corpus=<dir>
+
+Campaign mode (the default) derives one case per run from --seed,
+runs the differential oracle and, on failure, minimizes the case and
+(with --out=) writes it as <dir>/fuzz-seed<seed>-run<run>.repro.
+Exit status is the number of failing runs (clamped to 125).
+
+--replay= re-runs one saved reproducer and prints the full report.
+--corpus= replays every *.repro under a directory (sorted), the way
+scripts/check.sh pins past counterexamples as regression tests.
+)usage";
 
 std::vector<std::string>
 corpusFiles(const std::string &dir)
@@ -97,6 +100,9 @@ main(int argc, char **argv)
             replay = arg.substr(9);
         } else if (arg.rfind("--corpus=", 0) == 0) {
             corpus = arg.substr(9);
+        } else if (arg == "--help") {
+            std::fputs(usageText, stdout);
+            return 0;
         } else {
             fatal("unknown flag '%s'", arg.c_str());
         }

@@ -11,34 +11,7 @@
  * (workload, config) pair — and therefore every plan fingerprint —
  * appears with equal weight.
  *
- * Usage:
- *   distda_load --socket=<path> | --port=<n> [--host=<addr>]
- *               [--requests=<n>] [--connections=<n>] [--rate=<rps>]
- *               [--workloads=a,b,...] [--configs=x,y,...]
- *               [--scale=<f>] [--timeout-ms=<n>] [--probe]
- *               [--report-out=<file>] [--min-hit-rate=<f>]
- *               [--allow-errors] [--quiet]
- *
- * --rate > 0 runs open loop: request i is released at t0 + i/rate
- * globally across connections, whether or not earlier requests have
- * completed, so daemon-side queueing shows up as client latency
- * instead of being absorbed by the generator. --rate=0 (default) runs
- * closed loop at maximum throughput. --report-out writes the "report"
- * subtree of the first successful response verbatim, for
- * distda_stats diff against a direct distda_run --stats-json run.
- *
- * A connection that fails mid-run reconnects once; if that also fails
- * (daemon draining or gone) the connection retires and the remaining
- * requests are counted as errors. SIGPIPE is ignored and SIGINT stops
- * new requests, letting in-flight ones finish before the summary — so
- * the generator always reports what it measured, even under an
- * interrupted or draining daemon. Exit is nonzero on any error or a
- * missed --min-hit-rate unless --allow-errors is given.
- *
- * Example (the check.sh smoke stage):
- *   distda_load --socket=/tmp/distda.sock --requests=1000 \
- *     --connections=8 --workloads=fdt,bfs \
- *     --configs=Dist-DA-IO,Dist-DA-F --scale=0.25 --min-hit-rate=0.9
+ * Usage and flags: usageText below, which --help prints.
  */
 
 #include <csignal>
@@ -63,6 +36,36 @@ using namespace distda;
 
 namespace
 {
+
+constexpr const char *usageText = R"usage(Usage:
+  distda_load --socket=<path> | --port=<n> [--host=<addr>]
+              [--requests=<n>] [--connections=<n>] [--rate=<rps>]
+              [--workloads=a,b,...] [--configs=x,y,...]
+              [--scale=<f>] [--timeout-ms=<n>] [--probe]
+              [--report-out=<file>] [--min-hit-rate=<f>]
+              [--allow-errors] [--quiet]
+
+--rate > 0 runs open loop: request i is released at t0 + i/rate
+globally across connections, whether or not earlier requests have
+completed, so daemon-side queueing shows up as client latency
+instead of being absorbed by the generator. --rate=0 (default) runs
+closed loop at maximum throughput. --report-out writes the "report"
+subtree of the first successful response verbatim, for
+distda_stats diff against a direct distda_run --stats-json run.
+
+A connection that fails mid-run reconnects once; if that also fails
+(daemon draining or gone) the connection retires and the remaining
+requests are counted as errors. SIGPIPE is ignored and SIGINT stops
+new requests, letting in-flight ones finish before the summary — so
+the generator always reports what it measured, even under an
+interrupted or draining daemon. Exit is nonzero on any error or a
+missed --min-hit-rate unless --allow-errors is given.
+
+Example (the check.sh smoke stage):
+  distda_load --socket=/tmp/distda.sock --requests=1000 \
+    --connections=8 --workloads=fdt,bfs \
+    --configs=Dist-DA-IO,Dist-DA-F --scale=0.25 --min-hit-rate=0.9
+)usage";
 
 std::atomic<bool> g_interrupted{false};
 
@@ -300,6 +303,9 @@ main(int argc, char **argv)
             opts.allowErrors = true;
         } else if (arg == "--quiet") {
             opts.quiet = true;
+        } else if (arg == "--help") {
+            std::fputs(usageText, stdout);
+            return 0;
         } else {
             fatal("unknown flag '%s'", arg.c_str());
         }

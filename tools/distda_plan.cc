@@ -4,33 +4,7 @@
  * OffloadPlan artifacts that `distda_run --plan-dir=` produces and
  * consumes.
  *
- * Usage:
- *   distda_plan dump --workload=<name> [--config=<model>]
- *                    [--scale=<f>] [--out=<dir>]
- *   distda_plan validate <file.plan>...
- *   distda_plan diff <a.plan> <b.plan>
- *   distda_plan fingerprint --workload=<name> [--config=<model>]
- *                           [--scale=<f>]
- *   distda_plan fingerprint <file.plan>...
- *
- * dump compiles every kernel of the workload under the chosen
- * configuration and prints each plan artifact to stdout, or writes
- * one "<kernel>-<fingerprint>.plan" file per kernel into --out=<dir>
- * (creating the directory), exactly as the runner's --plan-dir does.
- *
- * validate parses each artifact, runs validatePlanArtifact (kernel
- * defects, fingerprint match, and the static verifier every fresh
- * compile passes) and checks the serialize→parse→serialize round trip
- * is byte-identical. It prints the first defect of each failing file;
- * exit status is nonzero iff any file fails.
- *
- * diff compares two artifacts line by line and prints the first
- * divergence plus a summary; exit status 1 when they differ.
- *
- * fingerprint prints "<kernel> <fingerprint>" per kernel — from a
- * fresh compile of a workload, or as recorded in artifact files (with
- * a recomputation check). Fingerprints are stable across processes,
- * so they can be compared between machines and runs.
+ * Usage and flags: usageText below, which --help prints.
  */
 
 #include <sys/stat.h>
@@ -53,6 +27,35 @@ using namespace distda;
 
 namespace
 {
+
+constexpr const char *usageText = R"usage(Usage:
+  distda_plan dump --workload=<name> [--config=<model>]
+                   [--scale=<f>] [--out=<dir>]
+  distda_plan validate <file.plan>...
+  distda_plan diff <a.plan> <b.plan>
+  distda_plan fingerprint --workload=<name> [--config=<model>]
+                          [--scale=<f>]
+  distda_plan fingerprint <file.plan>...
+
+dump compiles every kernel of the workload under the chosen
+configuration and prints each plan artifact to stdout, or writes
+one "<kernel>-<fingerprint>.plan" file per kernel into --out=<dir>
+(creating the directory), exactly as the runner's --plan-dir does.
+
+validate parses each artifact, runs validatePlanArtifact (kernel
+defects, fingerprint match, and the static verifier every fresh
+compile passes) and checks the serialize→parse→serialize round trip
+is byte-identical. It prints the first defect of each failing file;
+exit status is nonzero iff any file fails.
+
+diff compares two artifacts line by line and prints the first
+divergence plus a summary; exit status 1 when they differ.
+
+fingerprint prints "<kernel> <fingerprint>" per kernel — from a
+fresh compile of a workload, or as recorded in artifact files (with
+a recomputation check). Fingerprints are stable across processes,
+so they can be compared between machines and runs.
+)usage";
 
 struct Args
 {
@@ -248,7 +251,10 @@ main(int argc, char **argv)
     Args args;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (args.command.empty() && arg[0] != '-') {
+        if (arg == "--help") {
+            std::fputs(usageText, stdout);
+            return 0;
+        } else if (args.command.empty() && arg[0] != '-') {
             args.command = arg;
         } else if (arg.rfind("--workload=", 0) == 0) {
             args.workload = arg.substr(11);
@@ -275,5 +281,5 @@ main(int argc, char **argv)
     if (args.command == "fingerprint")
         return cmdFingerprint(args);
     fatal("usage: distda_plan dump|validate|diff|fingerprint ... "
-          "(see file header)");
+          "(see --help)");
 }

@@ -4,76 +4,7 @@
  * configuration — or sweep `--workload=all --config=all` through the
  * driver's parallel sweep engine — and print the full metrics records.
  *
- * Usage:
- *   distda_run [--list] [--workload=<name>|all] [--config=<model>|all]
- *              [--scale=<f>] [--ghz=<f>] [--csv] [--jobs=<n>]
- *              [--quick] [--paper]
- *              [--no-combining] [--no-retention]
- *              [--buffer=<bytes>] [--channel=<elems>]
- *              [--verify[=warn|error|off]] [--verify-only]
- *              [--verify-json=<file>] [--analyze[=json]]
- *              [--breakdown[=text|json|off]]
- *              [--timeline=<file>] [--stats-json=<file>]
- *              [--stats-interval=<ticks>] [--report-dir=<dir>]
- *              [--plan-dir=<dir>] [--plan-cache[=on|off]]
- *
- * --jobs=<n> runs the sweep's independent simulations on n worker
- * threads (default: DISTDA_JOBS, else hardware_concurrency). Results
- * are reported in deterministic job order and each simulation is
- * deterministic, so output is byte-identical at every --jobs level.
- *
- * --verify sets how statically-detected plan bugs are treated during
- * compilation (default: error). --verify-only compiles every kernel,
- * prints all verifier diagnostics and exits without simulating;
- * the exit status is nonzero iff any error-severity finding exists.
- * --verify-json=<file> implies --verify-only and additionally writes
- * every diagnostic as structured JSON to the file.
- *
- * --analyze runs each selected (workload, config) pair once with
- * invocation profiling on and prints the plan-analysis facts (bounds,
- * channel liveness, purity, interference; see DESIGN.md §6) per
- * kernel; --analyze=json emits one JSON document instead. The exit
- * status is nonzero iff any fact is Violated.
- *
- * --breakdown prints a Table-VI-style per-kernel offload-lifecycle
- * phase table after every run: per-phase latency share (enqueue,
- * decode, buffer-alloc, dispatch, execute, writeback, complete — the
- * shares always sum to 100% by the conservation invariant) plus
- * end-to-end mean/p50/p95/p99 per invocation. Under --csv the text
- * table goes to stderr so CSV output stays byte-identical;
- * --breakdown=json owns stdout — exactly one JSON document, pipeable
- * to json.tool, with the human records on stderr — and refuses to
- * combine with --csv.
- *
- * Observability (all off by default, zero overhead when off):
- * --timeline= writes a Chrome trace-event JSON timeline (open in
- * Perfetto / chrome://tracing) and --stats-json= a machine-readable
- * run report; both are single-run flags — a multi-job sweep must use
- * --report-dir=<dir>, which writes one pair of files per job into the
- * directory instead. --stats-interval= sets the counter-sampling
- * coalescing interval in simulated ticks (picoseconds; default 1e6).
- * Reports go to files only: stdout (CSV or human records) is
- * byte-identical with or without these flags.
- *
- * Plan artifacts (the compile→execute split): --plan-dir=<dir> loads
- * each kernel's serialized plan artifact from the directory when a
- * matching one exists (same kernel and compile options, checked by
- * fingerprint) and dumps freshly compiled plans into it otherwise, so
- * a second run skips compilation entirely; a loaded artifact passes
- * the same static verifier as a fresh compile. --plan-cache=off
- * disables the process-wide plan cache before the sweep starts (every
- * run compiles fresh); it is on by default. Use tools/distda_plan to
- * inspect artifacts.
- *
- * Examples:
- *   distda_run --workload=fdt --config=Dist-DA-F
- *   distda_run --workload=bfs --config=all --csv
- *   distda_run --workload=all --config=all --csv --jobs=8
- *   distda_run --workload=cho --config=Dist-DA-F --verify-only
- *   distda_run --workload=pr --config=Dist-DA-F --quick \
- *       --timeline=pr.timeline.json --stats-json=pr.stats.json
- *   distda_run --workload=all --config=all --quick --csv \
- *       --report-dir=reports
+ * Usage and flags: usageText below, which --help prints.
  */
 
 #include <sys/stat.h>
@@ -97,6 +28,78 @@ using namespace distda;
 
 namespace
 {
+
+constexpr const char *usageText = R"usage(Usage:
+  distda_run [--list] [--workload=<name>|all] [--config=<model>|all]
+             [--scale=<f>] [--ghz=<f>] [--csv] [--jobs=<n>]
+             [--quick] [--paper]
+             [--no-combining] [--no-retention]
+             [--buffer=<bytes>] [--channel=<elems>]
+             [--verify[=warn|error|off]] [--verify-only]
+             [--verify-json=<file>] [--analyze[=json]]
+             [--breakdown[=text|json|off]]
+             [--timeline=<file>] [--stats-json=<file>]
+             [--stats-interval=<ticks>] [--report-dir=<dir>]
+             [--plan-dir=<dir>] [--plan-cache[=on|off]]
+
+--jobs=<n> runs the sweep's independent simulations on n worker
+threads (default: DISTDA_JOBS, else hardware_concurrency). Results
+are reported in deterministic job order and each simulation is
+deterministic, so output is byte-identical at every --jobs level.
+
+--verify sets how statically-detected plan bugs are treated during
+compilation (default: error). --verify-only compiles every kernel,
+prints all verifier diagnostics and exits without simulating;
+the exit status is nonzero iff any error-severity finding exists.
+--verify-json=<file> implies --verify-only and additionally writes
+every diagnostic as structured JSON to the file.
+
+--analyze runs each selected (workload, config) pair once with
+invocation profiling on and prints the plan-analysis facts (bounds,
+channel liveness, purity, interference; see DESIGN.md §6) per
+kernel; --analyze=json emits one JSON document instead. The exit
+status is nonzero iff any fact is Violated.
+
+--breakdown prints a Table-VI-style per-kernel offload-lifecycle
+phase table after every run: per-phase latency share (enqueue,
+decode, buffer-alloc, dispatch, execute, writeback, complete — the
+shares always sum to 100% by the conservation invariant) plus
+end-to-end mean/p50/p95/p99 per invocation. Under --csv the text
+table goes to stderr so CSV output stays byte-identical;
+--breakdown=json owns stdout — exactly one JSON document, pipeable
+to json.tool, with the human records on stderr — and refuses to
+combine with --csv.
+
+Observability (all off by default, zero overhead when off):
+--timeline= writes a Chrome trace-event JSON timeline (open in
+Perfetto / chrome://tracing) and --stats-json= a machine-readable
+run report; both are single-run flags — a multi-job sweep must use
+--report-dir=<dir>, which writes one pair of files per job into the
+directory instead. --stats-interval= sets the counter-sampling
+coalescing interval in simulated ticks (picoseconds; default 1e6).
+Reports go to files only: stdout (CSV or human records) is
+byte-identical with or without these flags.
+
+Plan artifacts (the compile→execute split): --plan-dir=<dir> loads
+each kernel's serialized plan artifact from the directory when a
+matching one exists (same kernel and compile options, checked by
+fingerprint) and dumps freshly compiled plans into it otherwise, so
+a second run skips compilation entirely; a loaded artifact passes
+the same static verifier as a fresh compile. --plan-cache=off
+disables the process-wide plan cache before the sweep starts (every
+run compiles fresh); it is on by default. Use tools/distda_plan to
+inspect artifacts.
+
+Examples:
+  distda_run --workload=fdt --config=Dist-DA-F
+  distda_run --workload=bfs --config=all --csv
+  distda_run --workload=all --config=all --csv --jobs=8
+  distda_run --workload=cho --config=Dist-DA-F --verify-only
+  distda_run --workload=pr --config=Dist-DA-F --quick \
+      --timeline=pr.timeline.json --stats-json=pr.stats.json
+  distda_run --workload=all --config=all --quick --csv \
+      --report-dir=reports
+)usage";
 
 compiler::VerifyMode
 parseVerifyMode(const std::string &name)
@@ -313,6 +316,9 @@ main(int argc, char **argv)
                    arg == "--plan-cache=off") {
             compiler::PlanCache::process().setEnabled(
                 arg != "--plan-cache=off");
+        } else if (arg == "--help") {
+            std::fputs(usageText, stdout);
+            return 0;
         } else {
             fatal("unknown flag '%s'", arg.c_str());
         }

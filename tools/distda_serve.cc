@@ -7,23 +7,7 @@
  * process-wide PlanCache and every later request reuses them; each
  * response streams back the full --stats-json run report.
  *
- * Usage:
- *   distda_serve --socket=<path> | --port=<n>
- *                [--jobs=<n>] [--backlog=<n>] [--max-connections=<n>]
- *                [--max-request-bytes=<n>] [--timeout-ms=<n>]
- *                [--max-scale=<f>] [--plan-cache-capacity=<n>]
- *                [--verbose]
- *
- * --port=0 binds an ephemeral loopback port and prints it. SIGINT or
- * SIGTERM drains: accepting stops, in-flight requests finish and
- * flush their responses, the daemon prints its service summary and
- * exits 0. SIGPIPE is ignored process-wide — a client disconnecting
- * mid-response costs that client its response, never the daemon its
- * life. See DESIGN.md §12 for the protocol schema.
- *
- * Examples:
- *   distda_serve --socket=/tmp/distda.sock --jobs=8
- *   distda_serve --port=9177 --plan-cache-capacity=1024
+ * Usage and flags: usageText below, which --help prints.
  */
 
 #include <cstdio>
@@ -35,6 +19,25 @@
 #include "src/sim/logging.hh"
 
 using namespace distda;
+
+constexpr const char *usageText = R"usage(Usage:
+  distda_serve --socket=<path> | --port=<n>
+               [--jobs=<n>] [--backlog=<n>] [--max-connections=<n>]
+               [--max-request-bytes=<n>] [--timeout-ms=<n>]
+               [--max-scale=<f>] [--plan-cache-capacity=<n>]
+               [--verbose]
+
+--port=0 binds an ephemeral loopback port and prints it. SIGINT or
+SIGTERM drains: accepting stops, in-flight requests finish and
+flush their responses, the daemon prints its service summary and
+exits 0. SIGPIPE is ignored process-wide — a client disconnecting
+mid-response costs that client its response, never the daemon its
+life. See DESIGN.md §12 for the protocol schema.
+
+Examples:
+  distda_serve --socket=/tmp/distda.sock --jobs=8
+  distda_serve --port=9177 --plan-cache-capacity=1024
+)usage";
 
 int
 main(int argc, char **argv)
@@ -76,6 +79,9 @@ main(int argc, char **argv)
             verbose = true;
         } else if (arg == "--quiet") {
             verbose = false; // default; accepted for script symmetry
+        } else if (arg == "--help") {
+            std::fputs(usageText, stdout);
+            return 0;
         } else {
             fatal("unknown flag '%s'", arg.c_str());
         }

@@ -4,23 +4,7 @@
  * `distda_run --stats-json=`) or two BENCH_*.json perf-baseline
  * files, leaf by leaf.
  *
- * Usage:
- *   distda_stats diff <a.json> <b.json>
- *       [--threshold=<pct>] [--format=text|markdown|csv]
- *       [--ignore=<substr>] [--all] [--changed-only]
- *   distda_stats show <a.json>
- *
- * diff flattens every numeric leaf of both documents into dotted
- * paths, joins them, and prints a delta table (absolute and percent).
- * Exit status is 0 iff no leaf changed beyond --threshold (default 0:
- * two identical runs must diff clean), 1 when the gate fails, and 2
- * on usage or I/O errors (via fatal). Machine-dependent leaves
- * (wall_ms, compile_ms, saved, sim_rate, hardware_threads) are
- * ignored unless --all is given; each --ignore=<substr> adds another
- * skipped fragment.
- *
- * show prints one document's numeric leaves as "path value" lines —
- * useful for grepping a single report.
+ * Usage and flags: usageText below, which --help prints.
  */
 
 #include <cstdio>
@@ -36,6 +20,25 @@ using namespace distda;
 
 namespace
 {
+
+constexpr const char *usageText = R"usage(Usage:
+  distda_stats diff <a.json> <b.json>
+      [--threshold=<pct>] [--format=text|markdown|csv]
+      [--ignore=<substr>] [--all] [--changed-only]
+  distda_stats show <a.json>
+
+diff flattens every numeric leaf of both documents into dotted
+paths, joins them, and prints a delta table (absolute and percent).
+Exit status is 0 iff no leaf changed beyond --threshold (default 0:
+two identical runs must diff clean), 1 when the gate fails, and 2
+on usage or I/O errors (via fatal). Machine-dependent leaves
+(wall_ms, compile_ms, saved, sim_rate, hardware_threads) are
+ignored unless --all is given; each --ignore=<substr> adds another
+skipped fragment.
+
+show prints one document's numeric leaves as "path value" lines —
+useful for grepping a single report.
+)usage";
 
 sim::JsonValue
 loadReport(const std::string &path)
@@ -63,12 +66,7 @@ parseFormat(const std::string &name)
 void
 usage()
 {
-    std::fprintf(
-        stderr,
-        "usage: distda_stats diff <a.json> <b.json>\n"
-        "           [--threshold=<pct>] [--format=text|markdown|csv]\n"
-        "           [--ignore=<substr>] [--all] [--changed-only]\n"
-        "       distda_stats show <a.json>\n");
+    std::fputs(usageText, stderr);
 }
 
 } // namespace
@@ -81,6 +79,10 @@ main(int argc, char **argv)
         return 2;
     }
     const std::string command = argv[1];
+    if (command == "--help") {
+        std::fputs(usageText, stdout);
+        return 0;
+    }
 
     driver::StatsDiffOptions opts;
     opts.ignoreSubstrings = driver::defaultIgnoreSubstrings();
@@ -107,6 +109,9 @@ main(int argc, char **argv)
             all = true;
         } else if (arg == "--changed-only") {
             opts.changedOnly = true;
+        } else if (arg == "--help") {
+            std::fputs(usageText, stdout);
+            return 0;
         } else if (arg.rfind("--", 0) == 0) {
             fatal("unknown flag '%s'", arg.c_str());
         } else {
